@@ -31,6 +31,12 @@
 //! section measures the overhead of the instrumentation itself (no handle
 //! vs. disabled handle vs. enabled handle) on the bitonic_8 workload.
 //!
+//! The `ir_decode` section prices request decode per line byte —
+//! `JsonValue::parse` of a whole `simulate` line and `Ir::from_value` of its
+//! parsed IR — on the min_max, bitonic_8 and bitonic_16 lines (2.8 to 52
+//! KB). Flat ns/B across that range is the evidence that decode is linear
+//! in line length.
+//!
 //! Allocation counts come from a counting global allocator and cover the
 //! whole `run()` call, including the per-run `Events` materialization at the
 //! boundary; the interesting signal is the per-event marginal cost.
@@ -93,7 +99,12 @@ fn median_ns(samples: &mut [f64]) -> f64 {
 
 /// Time `f` repeatedly until ~`budget_ms` of samples are collected (at least
 /// `min_reps`), returning the median ns per call.
-fn time_median<F: FnMut()>(mut f: F, budget_ms: f64, min_reps: usize) -> f64 {
+fn time_median<F: FnMut()>(f: F, budget_ms: f64, min_reps: usize) -> f64 {
+    median_ns(&mut time_samples(f, budget_ms, min_reps))
+}
+
+/// The per-call ns samples behind [`time_median`].
+fn time_samples<F: FnMut()>(mut f: F, budget_ms: f64, min_reps: usize) -> Vec<f64> {
     // Warmup.
     f();
     let probe = {
@@ -108,7 +119,7 @@ fn time_median<F: FnMut()>(mut f: F, budget_ms: f64, min_reps: usize) -> f64 {
         f();
         samples.push(t0.elapsed().as_secs_f64() * 1e9);
     }
-    median_ns(&mut samples)
+    samples
 }
 
 /// Like [`time_median`], but with a per-iteration `setup` whose cost is
@@ -359,6 +370,64 @@ fn measure_serve_throughput(corpus: &str, workers_list: &[usize]) -> Vec<ServeRo
             }
         })
         .collect()
+}
+
+/// Sample count, median and fastest sample of one timed call, in ns per
+/// request-line byte.
+struct PerByte {
+    n: usize,
+    median: f64,
+    min: f64,
+}
+
+impl PerByte {
+    fn of(mut samples: Vec<f64>, bytes: usize) -> Self {
+        let median = median_ns(&mut samples);
+        PerByte {
+            n: samples.len(),
+            median: median / bytes as f64,
+            min: samples[0] / bytes as f64,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"n\": {}, \"median_ns_per_byte\": {:.2}, \"min_ns_per_byte\": {:.2}}}",
+            self.n, self.median, self.min
+        )
+    }
+}
+
+/// One `ir_decode` row: the two halves of decoding a `simulate` request
+/// line for one design — `JsonValue::parse` of the whole line, then
+/// `Ir::from_value` on its parsed `"ir"` member. Both are linear in line
+/// length, so ns/B stays flat from the smallest design to the largest.
+struct DecodeRow {
+    name: &'static str,
+    bytes: usize,
+    parse: PerByte,
+    from_value: PerByte,
+}
+
+fn measure_ir_decode(name: &'static str) -> DecodeRow {
+    use rlse_core::ir::json::JsonValue;
+    use rlse_core::ir::Ir;
+    let ir = rlse_designs::design_ir(name, 1.0);
+    let line = format!(
+        "{{\"id\":\"decode-{name}\",\"kind\":\"simulate\",\"ir\":{}}}",
+        ir.to_value().to_compact()
+    );
+    let req = JsonValue::parse(&line).expect("request line parses");
+    let ir_val = req.get("ir").expect("request carries an IR");
+    assert_eq!(Ir::from_value(ir_val).expect("IR decodes"), ir);
+    let parse = time_samples(|| drop(JsonValue::parse(&line)), 300.0, 50);
+    let from_value = time_samples(|| drop(Ir::from_value(ir_val)), 300.0, 50);
+    DecodeRow {
+        name,
+        bytes: line.len(),
+        parse: PerByte::of(parse, line.len()),
+        from_value: PerByte::of(from_value, line.len()),
+    }
 }
 
 /// Telemetry overhead on the reused bitonic_8 workload: median run time
@@ -709,6 +778,10 @@ fn main() {
     const SERVE_CORPUS: usize = 200;
     let serve_corpus = rlse_serve::generated_requests(SERVE_CORPUS);
     let serve_rows = measure_serve_throughput(&serve_corpus, &[1, 2, 4, 8]);
+    let decode_rows: Vec<DecodeRow> = ["min_max", "bitonic_8", "bitonic_16"]
+        .into_iter()
+        .map(measure_ir_decode)
+        .collect();
 
     // Hand-rolled JSON (the workspace deliberately has no serde dependency).
     let mut out = String::new();
@@ -878,6 +951,18 @@ fn main() {
         ));
     }
     out.push_str("  ]},\n");
+    out.push_str("  \"ir_decode\": [\n");
+    for (i, r) in decode_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"line_bytes\": {}, \"parse\": {}, \"from_value\": {}}}{}\n",
+            r.name,
+            r.bytes,
+            r.parse.json(),
+            r.from_value.json(),
+            if i + 1 == decode_rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
     let disabled_pct = 100.0 * (overhead.disabled_ns - overhead.off_ns) / overhead.off_ns;
     let enabled_pct = 100.0 * (overhead.enabled_ns - overhead.off_ns) / overhead.off_ns;
     out.push_str(&format!(

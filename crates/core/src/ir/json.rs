@@ -7,8 +7,16 @@
 //! strings (with `\uXXXX` escapes and surrogate pairs), finite numbers,
 //! booleans, and `null`. Object key order is preserved, so a value written
 //! by [`JsonValue::write`] parses back to an equal value.
+//!
+//! Parsing is linear in the input length: every byte is visited a bounded
+//! number of times, and a string's plain runs (everything up to the next
+//! quote, backslash or control byte) are copied as whole slices. Request
+//! lines are untrusted, so a long string must cost its length and no more;
+//! the serve front end parses each request line exactly once and decodes
+//! its IR from the parsed value.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,16 +208,24 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return self.err("raw control character in string"),
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, backslash or control byte in one step. The run
+                    // ends on an ASCII byte or at end of input, so it is a
+                    // complete UTF-8 slice of the `&str` input and checking
+                    // it costs only its own length.
+                    let start = self.pos;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += len;
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| {
                         JsonError {
-                            pos: self.pos,
+                            pos: start + e.valid_up_to(),
                             msg: "invalid UTF-8 in string".into(),
                         }
                     })?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -301,7 +317,7 @@ pub fn escape_json(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -313,7 +329,7 @@ pub fn escape_json(s: &str, out: &mut String) {
 /// written as `null` so the output stays valid JSON.
 pub fn write_f64(v: f64, out: &mut String) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -562,5 +578,100 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(JsonValue::Num(1.5).as_usize(), None);
         assert_eq!(JsonValue::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn error_offsets_inside_long_plain_runs() {
+        // A raw control byte after a long plain run (ASCII, then two-byte
+        // characters) is reported at its own byte offset.
+        let line = format!("\"{}{}\u{1}tail\"", "a".repeat(5000), "é".repeat(3000));
+        let err = JsonValue::parse(&line).unwrap_err();
+        assert_eq!(err.pos, 1 + 5000 + 6000, "{err}");
+        assert_eq!(err.msg, "raw control character in string");
+        // A raw control byte as the very first string byte.
+        let err = JsonValue::parse("{\"k\":\"\n\"}").unwrap_err();
+        assert_eq!(
+            (err.pos, err.msg.as_str()),
+            (6, "raw control character in string")
+        );
+        // An unterminated string fails at end of input, also when the
+        // document ends right after an escape or a multi-byte character.
+        for body in [
+            "x".repeat(4096),
+            format!("{}ü", "x".repeat(10)),
+            "ab\\n".into(),
+        ] {
+            let line = format!("[\"{body}");
+            let err = JsonValue::parse(&line).unwrap_err();
+            assert_eq!(
+                (err.pos, err.msg.as_str()),
+                (line.len(), "unterminated string")
+            );
+        }
+        // Escape errors keep their offsets after a plain run.
+        let err = JsonValue::parse("\"abcdef\\q\"").unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (8, "invalid escape"));
+        let err = JsonValue::parse("\"abc\\ud83dxyz\"").unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (10, "unpaired surrogate"));
+        let err = JsonValue::parse("\"abc\\u12").unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (6, "truncated \\u escape"));
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // A multi-megabyte string costs one pass over its bytes.
+        const REPS: usize = 2 << 20; // 5-byte units: 10 MiB
+        let big = "ab€".repeat(REPS) + "\\n\\u00e9" + &"z".repeat(1 << 20);
+        let line = format!("{{\"kind\":\"ping\",\"id\":\"{big}\"}}");
+        let v = JsonValue::parse(&line).unwrap();
+        let id = v.get("id").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(id.len(), 5 * REPS + 3 + (1 << 20));
+        assert!(id.starts_with("ab€ab€"));
+        assert!(id.ends_with("zzz"));
+        assert_eq!(id.matches("\né").count(), 1);
+    }
+
+    /// A string mixing every class the parser and writer treat
+    /// differently: printable ASCII, quotes and backslashes, control
+    /// characters, and two-, three- and four-byte UTF-8.
+    fn mixed_string(parts: &[(u32, u32)]) -> String {
+        parts
+            .iter()
+            .map(|&(class, x)| match class {
+                0 => char::from_u32(0x20 + x % 96).unwrap(),
+                1 => ['"', '\\', '/'][(x % 3) as usize],
+                2 => char::from_u32(x % 0x20).unwrap(),
+                3 => char::from_u32(0x80 + x % 0x780).unwrap(),
+                4 => char::from_u32(0x800 + x % 0xF800).unwrap_or('\u{fffd}'),
+                _ => char::from_u32(0x10000 + x % 0x10_0000).unwrap(),
+            })
+            .collect()
+    }
+
+    /// `s` written with every character as a `\uXXXX` escape (surrogate
+    /// pairs above the BMP).
+    fn all_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for unit in s.encode_utf16() {
+            let _ = write!(out, "\\u{unit:04X}");
+        }
+        out.push('"');
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn strings_round_trip_through_write_and_parse(
+            parts in proptest::collection::vec((0u32..6, 0u32..0x11_0000), 0..48),
+        ) {
+            let s = mixed_string(&parts);
+            let v = JsonValue::Str(s.clone());
+            let text = v.to_compact();
+            proptest::prop_assert_eq!(JsonValue::parse(&text).unwrap(), v.clone());
+            // The same string as an object key, and fully escaped.
+            let obj = JsonValue::Obj(vec![(s.clone(), v.clone())]);
+            proptest::prop_assert_eq!(JsonValue::parse(&obj.to_compact()).unwrap(), obj);
+            proptest::prop_assert_eq!(JsonValue::parse(&all_escaped(&s)).unwrap(), v);
+        }
     }
 }

@@ -17,8 +17,9 @@
 
 use proptest::prelude::*;
 use rlse::cells;
+use rlse::core::ir::json::JsonValue;
 use rlse::core::ir::Ir;
-use rlse::designs::{design_ir, design_spec, shmoo_design_names};
+use rlse::designs::{design_ir, design_ir_with_expected_outputs, design_spec, shmoo_design_names};
 use rlse::prelude::*;
 use std::path::Path;
 
@@ -51,6 +52,20 @@ fn assert_outcomes_identical(
 /// Run a circuit deterministically (seed 0, no variability).
 fn run(c: Circuit) -> Result<Events, rlse::core::Error> {
     Simulation::new(c).seed(0).run()
+}
+
+/// The property that lets a server decode a request's IR straight from the
+/// already-parsed request: the compact text of an IR value parses back to
+/// the same value, and decoding the value directly yields the same IR and
+/// content hash as decoding its text.
+fn assert_value_decode_matches_text(ir: &Ir) {
+    let v = ir.to_value();
+    let text = v.to_compact();
+    assert_eq!(JsonValue::parse(&text).unwrap(), v);
+    let direct = Ir::from_value(&v).unwrap();
+    let via_text = Ir::from_json(&text).unwrap();
+    assert_eq!(direct, via_text);
+    assert_eq!(direct.content_hash(), via_text.content_hash());
 }
 
 /// Build a random small circuit from a generated plan: a few pulse inputs
@@ -122,6 +137,7 @@ proptest! {
         let reparsed = Ir::from_json(&ir.to_json()).unwrap();
         prop_assert_eq!(&reparsed, &ir);
         prop_assert_eq!(reparsed.content_hash(), ir.content_hash());
+        assert_value_decode_matches_text(&ir);
         let c = run(reparsed.to_circuit().unwrap());
         assert_outcomes_identical(&a, &c);
     }
@@ -129,7 +145,9 @@ proptest! {
 
 /// Every registered design — the six Table-3 designs plus the scaled
 /// bitonic workloads — round-trips through the IR (and its JSON text form)
-/// with bit-identical replay, at unity and non-unity delay scales.
+/// with bit-identical replay, at unity and non-unity delay scales. Each
+/// document, also with its expected-outputs query attached, decodes the
+/// same from its parsed value as from its text.
 #[test]
 fn all_designs_round_trip_at_several_scales() {
     for name in shmoo_design_names() {
@@ -146,6 +164,8 @@ fn all_designs_round_trip_at_several_scales() {
             let direct = run(build(scale)).unwrap();
             let via_ir = run(reparsed.to_circuit().unwrap()).unwrap();
             assert_events_bit_identical(&direct, &via_ir);
+            assert_value_decode_matches_text(&ir);
+            assert_value_decode_matches_text(&design_ir_with_expected_outputs(name, scale));
         }
     }
 }
