@@ -6,14 +6,11 @@
 //!
 //! ```text
 //! cargo run --release -p rlse-bench --bin perf_baseline \
-//!     [label] [--threads 2,4,8] [--design-scale 32] > BENCH_sim.json
+//!     [label] > BENCH_sim.json
 //! ```
 //!
 //! The optional `label` (default `"current"`) tags the kernel under test so
 //! before/after reports from different checkouts can sit side by side.
-//! `--threads` sets the worker counts the `sim_parallel` section measures
-//! (default `2,4,8`); `--design-scale` caps the largest scaled design it
-//! runs (`16`, `32`, or `64`; default `32`).
 //!
 //! Two timing modes are reported per simulation workload:
 //!
@@ -43,8 +40,8 @@
 
 use rlse_analog::synth::from_circuit;
 use rlse_bench::{
-    bench_adder_sync, bench_bitonic, bench_bitonic_waves, bench_c, bench_c_inv, bench_min_max,
-    bench_wide_adder_xsfq, expected_outputs, simulate, Bench,
+    bench_adder_sync, bench_bitonic, bench_c, bench_c_inv, bench_min_max, expected_outputs,
+    simulate, Bench,
 };
 use rlse_core::prelude::*;
 use rlse_core::sweep::{BatchSweep, Sweep};
@@ -328,7 +325,7 @@ struct ServeRow {
 }
 
 fn measure_serve_throughput(corpus: &str, workers_list: &[usize]) -> Vec<ServeRow> {
-    use rlse_serve::{ServeOptions, Server};
+    use rlse_serve::{Observer, ServeOptions, Server};
     let n = corpus.lines().count() as f64;
     let mut reference: Option<Vec<u8>> = None;
     workers_list
@@ -340,7 +337,9 @@ fn measure_serve_throughput(corpus: &str, workers_list: &[usize]) -> Vec<ServeRo
             });
             let mut out = Vec::new();
             let t0 = Instant::now();
-            server.serve_reader(corpus.as_bytes(), &mut out).expect("cold pass serves");
+            server
+                .serve_observed(corpus.as_bytes(), &mut out, &mut Observer::disabled())
+                .expect("cold pass serves");
             let cold_s = t0.elapsed().as_secs_f64();
             match &reference {
                 Some(r) => assert_eq!(
@@ -356,7 +355,9 @@ fn measure_serve_throughput(corpus: &str, workers_list: &[usize]) -> Vec<ServeRo
             for _ in 0..3 {
                 let mut again = Vec::new();
                 let t0 = Instant::now();
-                server.serve_reader(corpus.as_bytes(), &mut again).expect("warm pass serves");
+                server
+                    .serve_observed(corpus.as_bytes(), &mut again, &mut Observer::disabled())
+                    .expect("warm pass serves");
                 warm.push(t0.elapsed().as_secs_f64());
                 assert_eq!(out, again, "workers={workers}: warm pass changed bytes");
             }
@@ -526,105 +527,11 @@ fn measure_analog() -> Vec<AnalogRow> {
     .collect()
 }
 
-/// One scaled design measured scalar vs partitioned at each worker count.
-/// The partitioned runs are asserted bit-identical to the scalar events
-/// before anything is timed.
-struct ParRow {
-    name: &'static str,
-    events: u64,
-    scalar_median_ns: f64,
-    threads: Vec<ParThreadRow>,
-}
-
-struct ParThreadRow {
-    threads: usize,
-    median_ns: f64,
-    parallel_path: bool,
-    regions: u64,
-    epochs: u64,
-    cross_pulses: u64,
-    horizon_stalls: u64,
-}
-
-fn measure_parallel<F: Fn() -> Bench>(build: F, threads_list: &[usize]) -> ParRow {
-    let bench = build();
-    let name = bench.name;
-    let mut sim = Simulation::new(bench.circuit);
-    let scalar_ev = sim.run().expect("clean");
-    let events = scalar_ev.pulse_count_all() as u64;
-    let scalar_median_ns = time_median(
-        || {
-            sim.run().expect("clean");
-        },
-        300.0,
-        5,
-    );
-    let threads = threads_list
-        .iter()
-        .map(|&t| {
-            // One instrumented run supplies the epoch/cross/stall counters
-            // and the bit-identity check; the timed loop runs with the
-            // telemetry handle disabled.
-            let tel = Telemetry::new();
-            let mut par = ParallelSim::new(build().circuit).threads(t).telemetry(&tel);
-            let ev = par.run().expect("clean");
-            assert_eq!(ev, scalar_ev, "{name}: partitioned run diverged at {t} threads");
-            let parallel_path = par.last_run_parallel();
-            let report = tel.report();
-            let disabled = Telemetry::disabled();
-            let mut par = par.telemetry(&disabled);
-            let median_ns = time_median(
-                || {
-                    par.run().expect("clean");
-                },
-                300.0,
-                5,
-            );
-            ParThreadRow {
-                threads: t,
-                median_ns,
-                parallel_path,
-                regions: report.gauge("par.regions"),
-                epochs: report.counter("par.epochs"),
-                cross_pulses: report.counter("par.cross_pulses"),
-                horizon_stalls: report.counter("par.horizon_stalls"),
-            }
-        })
-        .collect();
-    ParRow {
-        name,
-        events,
-        scalar_median_ns,
-        threads,
-    }
-}
-
 fn main() {
     let mut label = String::from("current");
-    let mut threads_list: Vec<usize> = vec![2, 4, 8];
-    let mut design_scale: usize = 32;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a comma-separated list");
-                threads_list = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes positive integers"))
-                    .collect();
-                assert!(!threads_list.is_empty(), "--threads list is empty");
-            }
-            "--design-scale" => {
-                let v = args.next().expect("--design-scale needs a value");
-                design_scale = v.parse().expect("--design-scale takes 16, 32, or 64");
-                assert!(
-                    matches!(design_scale, 16 | 32 | 64),
-                    "--design-scale takes 16, 32, or 64"
-                );
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag '{flag}'"),
-            positional => label = positional.to_string(),
-        }
+    for arg in std::env::args().skip(1) {
+        assert!(!arg.starts_with("--"), "unknown flag '{arg}'");
+        label = arg;
     }
 
     let rows = [
@@ -692,21 +599,6 @@ fn main() {
         measure_batch_sweep("ripple_adder_8bit", build_adder8, 100_000),
         measure_batch_sweep("bitonic_8", || bench_bitonic(8).circuit, 100_000),
     ];
-
-    // Conservative-parallel event loop: scalar vs partitioned medians on
-    // the scaled beyond-paper designs, per worker count. Every partitioned
-    // run is asserted bit-identical to the scalar events first.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut par_rows: Vec<ParRow> =
-        vec![measure_parallel(|| bench_bitonic_waves(16, 6), &threads_list)];
-    if design_scale >= 32 {
-        par_rows.push(measure_parallel(|| bench_bitonic_waves(32, 8), &threads_list));
-        par_rows.push(measure_parallel(|| bench_wide_adder_xsfq(32), &threads_list));
-    }
-    if design_scale >= 64 {
-        par_rows.push(measure_parallel(|| bench_bitonic_waves(64, 8), &threads_list));
-        par_rows.push(measure_parallel(|| bench_wide_adder_xsfq(64), &threads_list));
-    }
 
     // Verification: PyLSE→TA translation of the 8-input bitonic sorter and
     // Query-2 model checking of the And cell (from benches/verification.rs).
@@ -776,6 +668,7 @@ fn main() {
     // host the multi-worker rows measure scheduling overhead, not speedup;
     // host_cores is recorded so readers can judge.
     const SERVE_CORPUS: usize = 200;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let serve_corpus = rlse_serve::generated_requests(SERVE_CORPUS);
     let serve_rows = measure_serve_throughput(&serve_corpus, &[1, 2, 4, 8]);
     let decode_rows: Vec<DecodeRow> = ["min_max", "bitonic_8", "bitonic_16"]
@@ -876,41 +769,6 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    // Parallel event loop: scalar vs partitioned single-simulation medians.
-    // Speedups are only meaningful when host_cores covers the worker count;
-    // the scalar rows are retained so any host can recompute them.
-    out.push_str(&format!(
-        "  \"sim_parallel\": {{\"host_cores\": {host_cores}, \
-         \"design_scale\": {design_scale}, \"designs\": [\n"
-    ));
-    for (i, r) in par_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events_per_run\": {}, \
-             \"scalar_median_ns\": {:.0}, \"threads\": [\n",
-            r.name, r.events, r.scalar_median_ns
-        ));
-        for (j, t) in r.threads.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"threads\": {}, \"median_ns\": {:.0}, \"speedup\": {:.2}, \
-                 \"parallel_path\": {}, \"regions\": {}, \"epochs\": {}, \
-                 \"cross_pulses\": {}, \"horizon_stalls\": {}}}{}\n",
-                t.threads,
-                t.median_ns,
-                r.scalar_median_ns / t.median_ns.max(1e-9),
-                t.parallel_path,
-                t.regions,
-                t.epochs,
-                t.cross_pulses,
-                t.horizon_stalls,
-                if j + 1 == r.threads.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 == par_rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]},\n");
     out.push_str(&format!(
         "  \"verification\": {{\"translate_bitonic_8_median_ns\": {translate_ns:.0}, \
          \"model_check_query2_and_median_ns\": {mc_ns:.0},\n"

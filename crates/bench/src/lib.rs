@@ -107,44 +107,6 @@ pub fn bench_bitonic(n: usize) -> Bench {
     }
 }
 
-/// A scaled bitonic workload: the `n`-input sorter driven by `waves`
-/// successive scrambled pulse waves (see
-/// [`rlse_designs::bitonic_wave_stimulus`]) — the single-simulation
-/// workload the conservative-parallel event loop is benchmarked on.
-pub fn bench_bitonic_waves(n: usize, waves: usize) -> Bench {
-    let mut c = Circuit::new();
-    rlse_designs::bitonic_sorter_with_waves(&mut c, n, waves).expect("fresh wires");
-    Bench {
-        name: match n {
-            16 => "Bitonic Waves 16",
-            32 => "Bitonic Waves 32",
-            64 => "Bitonic Waves 64",
-            _ => "Bitonic Waves",
-        },
-        size: rlse_designs::bitonic_schedule(n).iter().map(Vec::len).sum(),
-        circuit: c,
-    }
-}
-
-/// A scaled clockless-adder workload: a `bits`-wide dual-rail ripple adder
-/// computing the worst-case full-length carry chain `(2^bits − 1) + 1`.
-pub fn bench_wide_adder_xsfq(bits: usize) -> Bench {
-    let mut c = Circuit::new();
-    let a = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    rlse_designs::ripple_adder_xsfq_with_inputs(&mut c, bits, a, 1, false)
-        .expect("fresh wires");
-    Bench {
-        name: match bits {
-            16 => "xSFQ Adder 16",
-            32 => "xSFQ Adder 32",
-            64 => "xSFQ Adder 64",
-            _ => "xSFQ Adder",
-        },
-        size: 14 * bits,
-        circuit: c,
-    }
-}
-
 /// The race tree of §5.2 with defaults picking label `a`.
 pub fn bench_race_tree() -> Bench {
     let mut c = Circuit::new();

@@ -8,7 +8,9 @@
 //!
 //! * a per-machine **transition table** dense in `(state, input)`, with
 //!   firing delays and past-constraint lists resolved to contiguous arrays
-//!   (`CompiledMachine`), so a dispatch is a handful of array lookups;
+//!   (`CompiledMachine`), so a dispatch is a handful of array lookups —
+//!   and the Fig. 6 Dispatch step over it, written once and shared by the
+//!   scalar simulator and the batch sweep kernel;
 //! * an interned **symbol table** ([`SymbolTable`]) holding every cell-type,
 //!   wire, state, and port name exactly once, so the event loop passes `u32`
 //!   symbols and strings are materialized only at the trace/VCD/error
@@ -22,6 +24,7 @@
 //! at compile time and resolved back on demand.
 
 use crate::circuit::{Circuit, NodeKind};
+use crate::error::Time;
 use crate::machine::{InputId, Machine, StateId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -133,15 +136,15 @@ pub(crate) struct CompiledTransition {
     /// Transition id (for diagnostics; matches `Transition::id`).
     pub(crate) id: u32,
     /// Destination state.
-    pub(crate) dst: u32,
+    dst: u32,
     /// Priority among simultaneous triggers; lower wins.
-    pub(crate) priority: u32,
+    priority: u32,
     /// `τ_tran`: time for the transition to complete.
-    pub(crate) tau_tran: f64,
+    tau_tran: f64,
     /// Range into [`CompiledMachine::firings`].
-    pub(crate) fire: (u32, u32),
+    fire: (u32, u32),
     /// Range into [`CompiledMachine::pasts`].
-    pub(crate) past: (u32, u32),
+    past: (u32, u32),
 }
 
 /// A [`Machine`] lowered to dense arrays: the transition table is indexed by
@@ -149,14 +152,14 @@ pub(crate) struct CompiledTransition {
 /// shared flat arrays addressed by ranges.
 #[derive(Debug)]
 pub struct CompiledMachine {
-    pub(crate) n_inputs: u32,
+    n_inputs: u32,
     pub(crate) start: u32,
     /// Dense `(state, input)` table.
-    pub(crate) table: Vec<CompiledTransition>,
+    table: Vec<CompiledTransition>,
     /// Flat `(output port, firing delay)` pairs.
-    pub(crate) firings: Vec<(u32, f64)>,
+    firings: Vec<(u32, f64)>,
     /// Flat `(input port, min distance)` past-constraint pairs.
-    pub(crate) pasts: Vec<(u32, f64)>,
+    pasts: Vec<(u32, f64)>,
     pub(crate) name: Symbol,
     pub(crate) states: Vec<Symbol>,
     pub(crate) inputs: Vec<Symbol>,
@@ -202,7 +205,7 @@ impl CompiledMachine {
 
     /// `δ(state, port)` as a table lookup.
     #[inline]
-    pub(crate) fn transition(&self, state: u32, port: u32) -> &CompiledTransition {
+    fn transition(&self, state: u32, port: u32) -> &CompiledTransition {
         &self.table[(state * self.n_inputs + port) as usize]
     }
 
@@ -297,37 +300,104 @@ impl CompiledMachine {
         self.n_inputs as usize
     }
 
-    /// Per-output minimum firing delay over every transition in the table
-    /// (`+∞` for outputs no transition fires). This is the machine's
-    /// *lookahead*: a pulse arriving at time `t` cannot produce a pulse on
-    /// output `o` earlier than `t + min_out_delays()[o]`, which is what the
-    /// conservative parallel event loop
-    /// ([`sim::parallel`](crate::sim::parallel)) uses to bound how far a
-    /// partition may safely run ahead of its neighbors.
-    pub(crate) fn min_out_delays(&self) -> Vec<f64> {
-        let mut min = vec![f64::INFINITY; self.outputs.len()];
-        for tr in &self.table {
-            for &(o, d) in &self.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
-                if d < min[o as usize] {
-                    min[o as usize] = d;
-                }
-            }
-        }
-        min
-    }
-
-    /// The smallest firing delay anywhere in the table (`+∞` if the machine
-    /// never fires). The parallel event loop requires this to be strictly
-    /// positive for every machine in the circuit — zero-delay firings would
-    /// collapse its cross-partition lookahead to nothing.
-    pub(crate) fn min_firing_delay(&self) -> f64 {
-        self.firings.iter().fold(f64::INFINITY, |m, &(_, d)| m.min(d))
-    }
-
     /// Number of `(state, input)` table rows.
     pub fn table_len(&self) -> usize {
         self.table.len()
     }
+
+    /// The Dispatch step of Fig. 6 over this table — the one copy every
+    /// engine runs. Handles the batch `buf.ports` arriving at `t` in
+    /// priority order (lowest priority number first, ties broken by input
+    /// index) from configuration `(q, τ_done)`, and returns the
+    /// configuration after the batch. Each transition is checked against
+    /// τ_done and its past constraints, stamps Θ, and appends its
+    /// `(output, nominal time)` firings to `buf.fired`.
+    ///
+    /// Θ of input `i` lives at `theta[th_base + i * th_stride]`: the scalar
+    /// simulator passes `(theta_off, 1)`, the batch sweep's lane-strided
+    /// columns `(theta_off * W + lane, W)`.
+    ///
+    /// On a violation the offending transition and the reason are returned
+    /// and Θ may be partly updated: the caller abandons the run (or lane),
+    /// whose state is reset before reuse.
+    #[inline]
+    pub(crate) fn dispatch(
+        &self,
+        t: Time,
+        (mut q, mut td): (u32, f64),
+        theta: &mut [f64],
+        (th_base, th_stride): (usize, usize),
+        buf: &mut DispatchBuf,
+    ) -> Result<(u32, f64), (CompiledTransition, Reject)> {
+        let DispatchBuf { ports, rest, fired } = buf;
+        rest.clear();
+        rest.extend_from_slice(ports);
+        while !rest.is_empty() {
+            let mut pos = 0usize;
+            let mut best = (self.transition(q, rest[0]).priority, rest[0]);
+            for (i, &p) in rest.iter().enumerate().skip(1) {
+                let key = (self.transition(q, p).priority, p);
+                if key < best {
+                    pos = i;
+                    best = key;
+                }
+            }
+            let sigma = rest.remove(pos);
+            let tr = *self.transition(q, sigma);
+            if t < td {
+                return Err((tr, Reject::TransitionTime { tau_done: td }));
+            }
+            for &(input, required) in &self.pasts[tr.past.0 as usize..tr.past.1 as usize] {
+                let last_seen = theta[th_base + input as usize * th_stride];
+                if t < last_seen + required {
+                    return Err((
+                        tr,
+                        Reject::PastConstraint {
+                            input,
+                            required,
+                            last_seen,
+                        },
+                    ));
+                }
+            }
+            q = tr.dst;
+            td = t + tr.tau_tran;
+            theta[th_base + sigma as usize * th_stride] = t;
+            for &(o, d) in &self.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
+                fired.push((o, t + d));
+            }
+        }
+        Ok((q, td))
+    }
+}
+
+/// Why [`CompiledMachine::dispatch`] rejected a transition, as plain
+/// numbers: the hot path never builds a diagnostic. The scalar simulator
+/// turns it into a Fig.-13 [`TimingViolation`](crate::error::TimingViolation);
+/// the batch sweep only marks the lane dead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reject {
+    /// The batch arrived before the previous transition completed.
+    TransitionTime { tau_done: f64 },
+    /// `input` was last seen at `last_seen`, less than `required` before
+    /// the batch.
+    PastConstraint {
+        input: u32,
+        required: f64,
+        last_seen: f64,
+    },
+}
+
+/// The scratch buffers of [`CompiledMachine::dispatch`], reused across every
+/// dispatched batch so the event loop never allocates.
+#[derive(Debug, Default)]
+pub(crate) struct DispatchBuf {
+    /// The same-`(time, node)` input ports, in arrival order.
+    pub(crate) ports: Vec<u32>,
+    /// The ports of the batch not yet handled.
+    rest: Vec<u32>,
+    /// Fired `(output port, time)` pairs; nominal until jittered.
+    pub(crate) fired: Vec<(u32, f64)>,
 }
 
 /// One stimulus pulse, pre-resolved to its wire and reading sink so a

@@ -11,12 +11,11 @@
 //! * [`functional`] — behavioral "holes" mixing software models into pulse
 //!   circuits.
 //! * [`sim`] — the discrete-event simulator, with optional firing-delay
-//!   variability, and [`sim::parallel`] — the conservative-parallel epoch
-//!   loop that runs one large simulation across cores, bit-identical to the
-//!   scalar kernel.
+//!   variability.
 //! * [`compiled`] — the one-time lowering of a circuit into flat dispatch
 //!   tables and interned names that makes the simulator's hot loop
-//!   allocation-free.
+//!   allocation-free, and the compiled Fig. 6 Dispatch step that the
+//!   simulator and the batch sweep kernel share.
 //! * [`sweep`] — deterministically-seeded parallel Monte-Carlo sweeps over
 //!   a circuit under variability (the §5.2 / Fig. 13 experiments).
 //! * [`telemetry`] — zero-cost-when-disabled counters, spans, and timeline
@@ -86,7 +85,6 @@ pub mod prelude {
     pub use crate::functional::Hole;
     pub use crate::ir::{CompiledCache, Ir, IrQuery};
     pub use crate::machine::{EdgeDef, Machine};
-    pub use crate::sim::parallel::ParallelSim;
     pub use crate::sim::{Simulation, TraceEntry, Variability};
     pub use crate::sweep::{OutputStats, Sweep, SweepError, SweepReport};
     pub use crate::telemetry::{Histogram, Telemetry, TelemetryReport};

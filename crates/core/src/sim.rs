@@ -12,25 +12,28 @@
 //! The hot loop is **allocation-free**. On first use, the circuit is lowered
 //! by [`CompiledCircuit::compile`] into flat transition tables and an
 //! interned symbol table (see [`crate::compiled`]); the event loop then works
-//! entirely with `u32` state/port/symbol indices, mutates the flat
-//! `(state, τ_done, Θ)` runtime arrays in place, and reuses per-simulation
-//! scratch buffers for the simultaneous-pulse batch, the dispatch working
-//! set, and the fired-output list. Strings are materialized only at the
-//! boundary: [`TraceEntry`] construction, timing diagnostics, and the final
-//! [`Events`] dictionary. Compiled tables survive [`Simulation::reset`], so
-//! Monte-Carlo sweep workers compile once per circuit, not once per trial.
+//! entirely with `u32` state/port/symbol indices, runs every batch through
+//! the compiled Dispatch step shared with the batch sweep kernel, mutates
+//! the flat `(state, τ_done, Θ)` runtime arrays in place, and reuses
+//! per-simulation scratch buffers for the simultaneous-pulse batch, the
+//! dispatch working set, and the fired-output list. Strings are
+//! materialized only at the boundary: [`TraceEntry`] construction, timing
+//! diagnostics, and the final [`Events`] dictionary. Compiled tables
+//! survive [`Simulation::reset`], so Monte-Carlo sweep workers compile once
+//! per circuit, not once per trial.
 
 use crate::circuit::{Circuit, NodeKind};
-use crate::compiled::{CompiledCircuit, CompiledNode};
+use crate::compiled::{
+    CompiledCircuit, CompiledMachine, CompiledNode, CompiledTransition, DispatchBuf, Reject,
+};
 use crate::error::{Error, HoleError, Time, TimingViolation, ViolationKind};
 use crate::events::Events;
 use crate::telemetry::{CellTally, Telemetry};
-use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-pub mod parallel;
+use std::sync::Arc;
 
 /// Per-firing propagation-delay variability (paper §5.2).
 ///
@@ -124,6 +127,30 @@ impl BoxMuller {
     }
 }
 
+/// Apply firing-delay variability in place to the firings of one dispatch
+/// at `t`: each delay is replaced by the custom model's, or jittered by
+/// `std`·N(0, 1), and clamped at zero. Callers skip nodes whose resolved
+/// `std` is NaN (see [`resolve_sigma`]). Shared by the scalar simulator and
+/// the batch sweep kernel, so both draw identical jitter streams.
+pub(crate) fn jitter(
+    fired: &mut [(u32, f64)],
+    t: Time,
+    std: f64,
+    mut custom: Option<&mut CustomDelayFn>,
+    cell: &str,
+    rng: &mut StdRng,
+    bm: &mut BoxMuller,
+) {
+    for fo in fired.iter_mut() {
+        let nominal = fo.1 - t;
+        let actual = match custom.as_mut() {
+            Some(f) => f(nominal, cell, rng),
+            None => nominal + std * bm.sample(rng),
+        };
+        fo.1 = t + actual.max(0.0);
+    }
+}
+
 /// One dispatched batch in a simulation trace (see
 /// [`Simulation::with_trace`]): which cell received which simultaneous
 /// inputs at what time, the state movement, and the pulses fired.
@@ -162,29 +189,57 @@ impl std::fmt::Display for TraceEntry {
     }
 }
 
+/// A pending pulse, ordered ascending on `(time, node, seq)` (engines keep
+/// them in a `BinaryHeap<Reverse<Pulse>>` min-heap). `seq` numbers pulses
+/// in creation order and is unique within a run, so the order is strictly
+/// total and the pop order of any correct heap is fully determined.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Pulse {
-    time: Time,
-    node: usize,
-    port: usize,
-    seq: u64,
+pub(crate) struct Pulse {
+    pub(crate) time: Time,
+    pub(crate) node: u32,
+    pub(crate) port: u32,
+    pub(crate) seq: u64,
 }
 
 impl Eq for Pulse {}
 impl Ord for Pulse {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed for a min-heap on (time, node, seq).
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.node.cmp(&self.node))
-            .then(other.seq.cmp(&self.seq))
+        self.time
+            .total_cmp(&other.time)
+            .then(self.node.cmp(&other.node))
+            .then(self.seq.cmp(&other.seq))
     }
 }
 impl PartialOrd for Pulse {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// `getSimPulses` (Fig. 6): pop the earliest pending pulse and every other
+/// pulse for the same `(time, node)` — heap-adjacent under the ordering key
+/// — into `ports` in arrival order, and return the batch's time and node.
+/// `None` once the heap is empty or its earliest pulse lies past `until`.
+#[inline]
+pub(crate) fn pop_batch(
+    heap: &mut BinaryHeap<Reverse<Pulse>>,
+    until: Option<Time>,
+    ports: &mut Vec<u32>,
+) -> Option<(Time, usize)> {
+    let Reverse(first) = heap.pop()?;
+    if until.is_some_and(|u| first.time > u) {
+        return None;
+    }
+    ports.clear();
+    ports.push(first.port);
+    while let Some(Reverse(p)) = heap.peek() {
+        if p.time != first.time || p.node != first.node {
+            break;
+        }
+        ports.push(p.port);
+        heap.pop();
+    }
+    Some((first.time, first.node as usize))
 }
 
 /// A configured simulation of one [`Circuit`].
@@ -232,14 +287,12 @@ pub struct Simulation {
     // (Monte-Carlo sweeps) reuse their allocations instead of rebuilding
     // them per trial.
     wire_events: Vec<Vec<Time>>,
-    heap: BinaryHeap<Pulse>,
-    // Scratch buffers reused across every dispatched batch: the
-    // simultaneous-pulse batch (input ports in arrival order), the dispatch
-    // working set, the fired-output list, the hole pulse-presence vector,
-    // and the per-node pre-resolved variability sigma (NaN = exempt).
-    batch: Vec<u32>,
-    rest: Vec<u32>,
-    fired: Vec<(u32, f64)>,
+    heap: BinaryHeap<Reverse<Pulse>>,
+    // Scratch buffers reused across every dispatched batch: the dispatch
+    // buffers (batch ports, working set, fired outputs), the hole
+    // pulse-presence vector, and the per-node pre-resolved variability
+    // sigma (NaN = exempt).
+    buf: DispatchBuf,
     present: Vec<bool>,
     var_std: Vec<f64>,
     // Telemetry: a shared handle (no-op when disabled), the timeline track
@@ -267,9 +320,7 @@ impl Simulation {
             theta: Vec::new(),
             wire_events: Vec::new(),
             heap: BinaryHeap::new(),
-            batch: Vec::new(),
-            rest: Vec::new(),
-            fired: Vec::new(),
+            buf: DispatchBuf::default(),
             present: Vec::new(),
             var_std: Vec::new(),
             telemetry: Telemetry::disabled(),
@@ -489,9 +540,7 @@ impl Simulation {
             theta,
             wire_events,
             heap,
-            batch,
-            rest,
-            fired,
+            buf,
             present,
             var_std,
             telemetry,
@@ -548,29 +597,25 @@ impl Simulation {
         // normal completion and the three abort paths — funnels through the
         // single telemetry flush below.
         let outcome: Result<(), Error> = 'run: {
-        // Seed the heap from stimulus sources.
-        for node in circuit.nodes.iter() {
-            if let NodeKind::Source { pulses } = &node.kind {
-                let wire = node.out_wires[0];
-                for &t in pulses {
-                    if record_ok(t, until) {
-                        wire_events[wire].push(t);
-                        if tel_on {
-                            n_wire += 1;
-                        }
-                    }
-                    if let Some((sink, port)) = circuit.wires[wire].sink {
-                        heap.push(Pulse {
-                            time: t,
-                            node: sink.0,
-                            port,
-                            seq,
-                        });
-                        seq += 1;
-                        if tel_on {
-                            n_pushed += 1;
-                        }
-                    }
+        // Seed the heap from the compiled stimulus schedule (source nodes in
+        // circuit order, then pulses in declaration order).
+        for sp in &cc.stim {
+            if record_ok(sp.time, until) {
+                wire_events[sp.wire as usize].push(sp.time);
+                if tel_on {
+                    n_wire += 1;
+                }
+            }
+            if sp.sink.0 != u32::MAX {
+                heap.push(Reverse(Pulse {
+                    time: sp.time,
+                    node: sp.sink.0,
+                    port: sp.sink.1,
+                    seq,
+                }));
+                seq += 1;
+                if tel_on {
+                    n_pushed += 1;
                 }
             }
         }
@@ -579,106 +624,43 @@ impl Simulation {
         }
 
         // Main discrete-event loop.
-        while let Some(first) = heap.pop() {
-            if let Some(u) = until {
-                if first.time > u {
-                    break;
-                }
-            }
-            // getSimPulses: gather all pulses with the same (time, node).
-            let node = first.node;
-            let t = first.time;
-            batch.clear();
-            batch.push(first.port as u32);
-            while let Some(p) = heap.peek() {
-                if p.time == t && p.node == node {
-                    batch.push(heap.pop().expect("peeked").port as u32);
-                } else {
-                    break;
-                }
-            }
+        while let Some((t, node)) = pop_batch(heap, until, &mut buf.ports) {
             if tel_on {
-                n_popped += batch.len() as u64;
+                n_popped += buf.ports.len() as u64;
                 n_dispatches += 1;
             }
-            fired.clear();
+            buf.fired.clear();
             match cc.nodes[node] {
                 CompiledNode::Source => unreachable!("sources receive no pulses"),
                 CompiledNode::Machine { cm, theta_off, .. } => {
                     let m = &cc.machines[cm as usize];
-                    let th =
-                        &mut theta[theta_off as usize..theta_off as usize + m.n_inputs as usize];
-                    let mut q = states[node];
-                    let state_before = q;
-                    let mut td = tau_done[node];
-                    // Dispatch (Fig. 6): handle the batch in priority order
-                    // (lowest priority number first, ties broken by input
-                    // index), mutating κ in place. On a violation the run
-                    // aborts, so partial in-place updates never leak: the
-                    // next run resets the flat state.
-                    rest.clear();
-                    rest.extend_from_slice(batch);
-                    while !rest.is_empty() {
-                        let mut pos = 0usize;
-                        let mut best = (m.transition(q, rest[0]).priority, rest[0]);
-                        for (i, &p) in rest.iter().enumerate().skip(1) {
-                            let key = (m.transition(q, p).priority, p);
-                            if key < best {
-                                pos = i;
-                                best = key;
-                            }
+                    let state_before = states[node];
+                    // On a violation the run aborts, so partial in-place
+                    // updates never leak: the next run resets the flat state.
+                    match m.dispatch(
+                        t,
+                        (state_before, tau_done[node]),
+                        theta,
+                        (theta_off as usize, 1),
+                        buf,
+                    ) {
+                        Ok((q, td)) => {
+                            states[node] = q;
+                            tau_done[node] = td;
                         }
-                        let sigma = rest.remove(pos);
-                        let tr = *m.transition(q, sigma);
-                        if t < td {
-                            break 'run Err(violation(
-                                cc,
-                                m,
-                                node,
-                                batch,
-                                &tr,
-                                t,
-                                ViolationKind::TransitionTime { tau_done: td },
+                        Err((tr, reject)) => {
+                            break 'run Err(
+                                violation(cc, m, node, &buf.ports, &tr, t, reject).into(),
                             )
-                            .into());
-                        }
-                        for &(cin, dist) in &m.pasts[tr.past.0 as usize..tr.past.1 as usize] {
-                            let last = th[cin as usize];
-                            if t < last + dist {
-                                break 'run Err(violation(
-                                    cc,
-                                    m,
-                                    node,
-                                    batch,
-                                    &tr,
-                                    t,
-                                    ViolationKind::PastConstraint {
-                                        constrained: cc
-                                            .symbols
-                                            .resolve(m.inputs[cin as usize])
-                                            .to_string(),
-                                        required: dist,
-                                        last_seen: last,
-                                    },
-                                )
-                                .into());
-                            }
-                        }
-                        q = tr.dst;
-                        td = t + tr.tau_tran;
-                        th[sigma as usize] = t;
-                        for &(o, d) in &m.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
-                            fired.push((o, t + d));
                         }
                     }
-                    states[node] = q;
-                    tau_done[node] = td;
                     if tel_on {
-                        n_transitions += batch.len() as u64;
+                        let n = buf.ports.len() as u64;
+                        n_transitions += n;
                         let tc = &mut tel_cells[node];
                         tc.dispatches += 1;
-                        tc.transitions += batch.len() as u64;
-                        tc.fired += fired.len() as u64;
+                        tc.transitions += n;
+                        tc.fired += buf.fired.len() as u64;
                     }
                     if trace_enabled {
                         // Boundary string materialization: the trace records
@@ -688,7 +670,8 @@ impl Simulation {
                             time: t,
                             node_wire: cc.symbols.resolve(cc.node_wire[node]).to_string(),
                             cell: cc.symbols.resolve(m.name).to_string(),
-                            inputs: batch
+                            inputs: buf
+                                .ports
                                 .iter()
                                 .map(|&p| cc.symbols.resolve(m.inputs[p as usize]).to_string())
                                 .collect(),
@@ -696,8 +679,12 @@ impl Simulation {
                                 .symbols
                                 .resolve(m.states[state_before as usize])
                                 .to_string(),
-                            state_after: cc.symbols.resolve(m.states[q as usize]).to_string(),
-                            fired: fired
+                            state_after: cc
+                                .symbols
+                                .resolve(m.states[states[node] as usize])
+                                .to_string(),
+                            fired: buf
+                                .fired
                                 .iter()
                                 .map(|&(o, ft)| {
                                     (cc.symbols.resolve(m.outputs[o as usize]).to_string(), ft)
@@ -712,7 +699,7 @@ impl Simulation {
                     };
                     present.clear();
                     present.resize(hole.inputs().len(), false);
-                    for &p in batch.iter() {
+                    for &p in &buf.ports {
                         present[p as usize] = true;
                     }
                     let outs = hole.call(present, t);
@@ -727,20 +714,21 @@ impl Simulation {
                     let delay = hole.delay();
                     for (port, fire) in outs.into_iter().enumerate() {
                         if fire {
-                            fired.push((port as u32, t + delay));
+                            buf.fired.push((port as u32, t + delay));
                         }
                     }
                     if tel_on {
                         let tc = &mut tel_cells[node];
                         tc.dispatches += 1;
-                        tc.fired += fired.len() as u64;
+                        tc.fired += buf.fired.len() as u64;
                     }
                     if trace_enabled {
                         trace.push(TraceEntry {
                             time: t,
                             node_wire: cc.symbols.resolve(cc.node_wire[node]).to_string(),
                             cell: cc.symbols.resolve(cc.cell[node]).to_string(),
-                            inputs: batch
+                            inputs: buf
+                                .ports
                                 .iter()
                                 .map(|&p| {
                                     cc.symbols
@@ -750,7 +738,8 @@ impl Simulation {
                                 .collect(),
                             state_before: String::new(),
                             state_after: String::new(),
-                            fired: fired
+                            fired: buf
+                                .fired
                                 .iter()
                                 .map(|&(o, ft)| {
                                     (
@@ -767,22 +756,20 @@ impl Simulation {
             }
             // Apply firing-delay variability in place (machines only; holes
             // and exempt/unmapped nodes have a NaN sigma).
-            if var_active {
-                let std = var_std[node];
-                if !std.is_nan() {
-                    for fo in fired.iter_mut() {
-                        let nominal = fo.1 - t;
-                        let actual = match custom.as_mut() {
-                            Some(f) => f(nominal, cc.symbols.resolve(cc.cell[node]), &mut rng),
-                            None => nominal + std * bm.sample(&mut rng),
-                        };
-                        fo.1 = t + actual.max(0.0);
-                    }
-                }
+            if var_active && !var_std[node].is_nan() {
+                jitter(
+                    &mut buf.fired,
+                    t,
+                    var_std[node],
+                    custom.as_deref_mut(),
+                    cc.symbols.resolve(cc.cell[node]),
+                    &mut rng,
+                    &mut bm,
+                );
             }
             // Deliver fired pulses through the flat routing arrays.
             let outs = cc.node_out_wires(node);
-            for &(port, t_out) in fired.iter() {
+            for &(port, t_out) in &buf.fired {
                 let wire = outs[port as usize] as usize;
                 if record_ok(t_out, until) {
                     wire_events[wire].push(t_out);
@@ -792,12 +779,12 @@ impl Simulation {
                 }
                 let (sink, sport) = cc.sink[wire];
                 if sink != u32::MAX {
-                    heap.push(Pulse {
+                    heap.push(Reverse(Pulse {
                         time: t_out,
-                        node: sink as usize,
-                        port: sport as usize,
+                        node: sink,
+                        port: sport,
                         seq,
-                    });
+                    }));
                     seq += 1;
                     if tel_on {
                         n_pushed += 1;
@@ -842,18 +829,30 @@ impl Simulation {
     }
 }
 
-/// Materialize a Figure-13-style timing diagnostic from compiled indices
-/// (cold path: only reached when the run is about to abort).
+/// Materialize a Figure-13-style timing diagnostic from a dispatch
+/// rejection (cold path: only reached when the run is about to abort).
 #[cold]
 fn violation(
     cc: &CompiledCircuit,
-    m: &crate::compiled::CompiledMachine,
+    m: &CompiledMachine,
     node: usize,
     batch: &[u32],
-    tr: &crate::compiled::CompiledTransition,
+    tr: &CompiledTransition,
     tau_arr: Time,
-    kind: ViolationKind,
+    reject: Reject,
 ) -> TimingViolation {
+    let kind = match reject {
+        Reject::TransitionTime { tau_done } => ViolationKind::TransitionTime { tau_done },
+        Reject::PastConstraint {
+            input,
+            required,
+            last_seen,
+        } => ViolationKind::PastConstraint {
+            constrained: cc.symbols.resolve(m.inputs[input as usize]).to_string(),
+            required,
+            last_seen,
+        },
+    };
     TimingViolation {
         machine: cc.symbols.resolve(m.name).to_string(),
         node_wire: cc.symbols.resolve(cc.node_wire[node]).to_string(),

@@ -42,7 +42,10 @@
 //! 2. Each lane keeps its own RNG, Box–Muller spare, and pulse sequence
 //!    counter, and pumps its pulses in the scalar heap order `(time, node,
 //!    seq)`, so the lane's jitter stream and dispatch sequence match the
-//!    scalar trial event for event.
+//!    scalar trial event for event. Each batch goes through the scalar
+//!    engine's own Dispatch step (`CompiledMachine::dispatch`) and jitter
+//!    code, addressing the lane's strided Θ column, so there is no second
+//!    copy of the Fig. 6 rules to drift.
 //! 3. Trial outcomes are stitched back into global trial order (blocks are
 //!    dealt round-robin to workers, workers return them in deal order) and
 //!    folded by the same serial [`reduce`](super) the scalar engine uses, so
@@ -53,10 +56,10 @@
 //! internal state, which lane-blocked re-execution would corrupt.
 
 use crate::circuit::{Circuit, NodeKind};
-use crate::compiled::{CompiledCircuit, CompiledNode};
+use crate::compiled::{CompiledCircuit, CompiledNode, DispatchBuf};
 use crate::error::Time;
 use crate::events::Events;
-use crate::sim::{resolve_sigma, BoxMuller, CustomDelayFn, Variability};
+use crate::sim::{jitter, pop_batch, resolve_sigma, BoxMuller, CustomDelayFn, Pulse, Variability};
 use crate::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,36 +70,6 @@ use super::{
     observed_names, reduce, trial_seed, validate_variability, CheckFn, OutAcc, Sweep,
     SweepDetails, SweepError, SweepReport, TrialDetail, TrialOutcome,
 };
-
-/// A pending pulse of the lane currently being pumped. The heap is a
-/// min-heap on the scalar engine's `(time, node, seq)` key, so
-/// same-`(time, node)` pulses pop contiguously and the simultaneous-pulse
-/// batching of Fig. 6 works unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BPulse {
-    time: Time,
-    node: u32,
-    port: u32,
-    seq: u64,
-}
-
-impl Eq for BPulse {}
-impl Ord for BPulse {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ascending on (time, node, seq); strictly total — `seq` is unique
-        // within a lane and the heap only ever holds one lane — so the pop
-        // order of any correct min-heap over this key is fully determined.
-        self.time
-            .total_cmp(&other.time)
-            .then(self.node.cmp(&other.node))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for BPulse {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Everything the workers share, compiled exactly once per sweep and then
 /// immutable: the lowered circuit, the sorted observed-output names, each
@@ -193,19 +166,16 @@ struct Kernel<'p> {
     tau_done: Vec<f64>,
     theta: Vec<f64>,
     var_std: Vec<f64>,
-    heap: BinaryHeap<Reverse<BPulse>>,
+    heap: BinaryHeap<Reverse<Pulse>>,
     // Recorded pulse times per (observed-wire slot, lane), indexed
     // `slot * width + lane`.
     obs: Vec<Vec<Time>>,
     // Dispatch scratch, shared across lanes (only one lane dispatches at a
-    // time; these are cleared per batch exactly as in the scalar kernel).
-    batch: Vec<u32>,
-    rest: Vec<u32>,
-    fired: Vec<(u32, f64)>,
+    // time).
+    buf: DispatchBuf,
     // Per-lane trial state.
     rngs: Vec<StdRng>,
     bms: Vec<BoxMuller>,
-    seqs: Vec<u64>,
     dead: Vec<bool>,
     customs: Vec<Option<CustomDelayFn>>,
     /// Scratch events dictionary refilled per lane for the check callback
@@ -228,12 +198,9 @@ impl<'p> Kernel<'p> {
             obs: std::iter::repeat_with(Vec::new)
                 .take(plan.names.len() * width)
                 .collect(),
-            batch: Vec::new(),
-            rest: Vec::new(),
-            fired: Vec::new(),
+            buf: DispatchBuf::default(),
             rngs: (0..width).map(|_| StdRng::seed_from_u64(0)).collect(),
             bms: (0..width).map(|_| BoxMuller::default()).collect(),
-            seqs: vec![0; width],
             dead: vec![false; width],
             customs: (0..width).map(|_| None).collect(),
             scratch: has_check.then(|| Events::preallocated(&plan.names)),
@@ -261,12 +228,9 @@ impl<'p> Kernel<'p> {
             var_std,
             heap,
             obs,
-            batch,
-            rest,
-            fired,
+            buf,
             rngs,
             bms,
-            seqs,
             dead,
             customs,
             scratch,
@@ -298,7 +262,6 @@ impl<'p> Kernel<'p> {
             let trial = first_trial + lane as u64;
             rngs[lane] = StdRng::seed_from_u64(trial_seed(sweep.master_seed, trial));
             bms[lane] = BoxMuller::default();
-            seqs[lane] = 0;
             dead[lane] = false;
             customs[lane] = None;
             if let Some(factory) = &sweep.variability {
@@ -331,11 +294,11 @@ impl<'p> Kernel<'p> {
         // while the heap only ever holds one trial's in-flight pulses (the
         // scalar engine's depth) instead of `W`× that.
         for lane in 0..lanes {
-            // Seed from the compiled stimulus schedule in compile order —
-            // the order the scalar engine seeds from the circuit's source
-            // nodes — so this lane's sequence numbers match the scalar
-            // trial's exactly.
+            // Seed from the compiled stimulus schedule, in the scalar
+            // engine's seeding order, so this lane's sequence numbers match
+            // the scalar trial's exactly.
             heap.clear();
+            let mut seq = 0u64;
             for sp in &cc.stim {
                 if record_ok(sp.time) {
                     let slot = plan.obs_slot[sp.wire as usize];
@@ -347,13 +310,13 @@ impl<'p> Kernel<'p> {
                     }
                 }
                 if sp.sink.0 != u32::MAX {
-                    heap.push(Reverse(BPulse {
+                    heap.push(Reverse(Pulse {
                         time: sp.time,
                         node: sp.sink.0,
                         port: sp.sink.1,
-                        seq: seqs[lane],
+                        seq,
                     }));
-                    seqs[lane] += 1;
+                    seq += 1;
                     if tel_on {
                         counters.pushed += 1;
                     }
@@ -364,101 +327,53 @@ impl<'p> Kernel<'p> {
             }
 
             // The pump: the scalar discrete-event loop of Fig. 6, acting on
-            // this lane's column of every dense array.
-            'pump: while let Some(Reverse(first)) = heap.pop() {
-                if let Some(u) = until {
-                    if first.time > u {
-                        // Min pulse beyond the target time: the rest of this
-                        // lane's pulses are too, exactly the scalar cutoff.
-                        break;
-                    }
-                }
-                let node = first.node as usize;
-                let t = first.time;
-                // getSimPulses: same (time, node) pulses are heap-adjacent
-                // by the ordering key (the whole heap is this lane).
-                batch.clear();
-                batch.push(first.port);
-                while let Some(Reverse(p)) = heap.peek() {
-                    if p.time == t && p.node == first.node {
-                        batch.push(heap.pop().expect("peeked").0.port);
-                    } else {
-                        break;
-                    }
-                }
+            // this lane's column of every dense array. Same-(time, node)
+            // pulses are heap-adjacent: the whole heap is this lane.
+            while let Some((t, node)) = pop_batch(heap, until, &mut buf.ports) {
                 if tel_on {
-                    counters.popped += batch.len() as u64;
+                    counters.popped += buf.ports.len() as u64;
                     counters.dispatches += 1;
                 }
-                fired.clear();
+                buf.fired.clear();
                 let CompiledNode::Machine { cm, theta_off, .. } = cc.nodes[node] else {
                     unreachable!("sources receive no pulses; hole circuits use the scalar fallback")
                 };
-                let m = &cc.machines[cm as usize];
-                let tb = theta_off as usize;
                 let si = node * width + lane;
-                let mut q = states[si];
-                let mut td = tau_done[si];
-                // Dispatch (Fig. 6) in priority order, mutating this lane's
-                // column of κ in place. A violation kills the lane — the
-                // batch equivalent of the scalar run aborting with
-                // `Error::Timing` — and its partial column updates never
-                // leak: a dead lane's pump ends here and its columns are
-                // fully reset before the next block.
-                rest.clear();
-                rest.extend_from_slice(batch);
-                while !rest.is_empty() {
-                    let mut pos = 0usize;
-                    let mut best = (m.transition(q, rest[0]).priority, rest[0]);
-                    for (i, &p) in rest.iter().enumerate().skip(1) {
-                        let key = (m.transition(q, p).priority, p);
-                        if key < best {
-                            pos = i;
-                            best = key;
-                        }
-                    }
-                    let sigma = rest.remove(pos);
-                    let tr = *m.transition(q, sigma);
-                    if t < td {
-                        dead[lane] = true;
-                        break 'pump;
-                    }
-                    for &(cin, dist) in &m.pasts[tr.past.0 as usize..tr.past.1 as usize] {
-                        let last = theta[(tb + cin as usize) * width + lane];
-                        if t < last + dist {
-                            dead[lane] = true;
-                            break 'pump;
-                        }
-                    }
-                    q = tr.dst;
-                    td = t + tr.tau_tran;
-                    theta[(tb + sigma as usize) * width + lane] = t;
-                    for &(o, d) in &m.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
-                        fired.push((o, t + d));
-                    }
-                }
+                // A violation kills the lane — the batch equivalent of the
+                // scalar run aborting with `Error::Timing` — and its partial
+                // column updates never leak: a dead lane's pump ends here and
+                // its columns are fully reset before the next block.
+                let Ok((q, td)) = cc.machines[cm as usize].dispatch(
+                    t,
+                    (states[si], tau_done[si]),
+                    theta,
+                    (theta_off as usize * width + lane, width),
+                    buf,
+                ) else {
+                    dead[lane] = true;
+                    break;
+                };
                 states[si] = q;
                 tau_done[si] = td;
                 if tel_on {
-                    counters.transitions += batch.len() as u64;
+                    counters.transitions += buf.ports.len() as u64;
                 }
                 // Firing-delay variability from this lane's own RNG stream.
-                let std = var_std[si];
-                if !std.is_nan() {
-                    let rng = &mut rngs[lane];
-                    for fo in fired.iter_mut() {
-                        let nominal = fo.1 - t;
-                        let actual = match customs[lane].as_mut() {
-                            Some(f) => f(nominal, cc.symbols.resolve(cc.cell[node]), rng),
-                            None => nominal + std * bms[lane].sample(rng),
-                        };
-                        fo.1 = t + actual.max(0.0);
-                    }
+                if !var_std[si].is_nan() {
+                    jitter(
+                        &mut buf.fired,
+                        t,
+                        var_std[si],
+                        customs[lane].as_mut(),
+                        cc.symbols.resolve(cc.cell[node]),
+                        &mut rngs[lane],
+                        &mut bms[lane],
+                    );
                 }
                 // Deliver fired pulses: record observed wires into the
                 // lane's column, push routed pulses back onto the heap.
                 let outs = cc.node_out_wires(node);
-                for &(port, t_out) in fired.iter() {
+                for &(port, t_out) in &buf.fired {
                     let wire = outs[port as usize] as usize;
                     if record_ok(t_out) {
                         let slot = plan.obs_slot[wire];
@@ -471,13 +386,13 @@ impl<'p> Kernel<'p> {
                     }
                     let (sink, sport) = cc.sink[wire];
                     if sink != u32::MAX {
-                        heap.push(Reverse(BPulse {
+                        heap.push(Reverse(Pulse {
                             time: t_out,
                             node: sink,
                             port: sport,
-                            seq: seqs[lane],
+                            seq,
                         }));
-                        seqs[lane] += 1;
+                        seq += 1;
                         if tel_on {
                             counters.pushed += 1;
                         }

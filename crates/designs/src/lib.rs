@@ -53,7 +53,7 @@ pub use ir_fixtures::{all_design_irs, design_ir, design_ir_with_expected_outputs
 pub use margins::{
     decision_tree_margin, design_spec, find_first_pass, find_first_pass_uniform,
     ripple_adder_margin, shmoo_design_names, shmoo_map, Boundary, CellState, MarginAnalysis,
-    MarginPoint, ShmooMap, ShmooOptions,
+    MarginPoint, ShmooMap, ShmooOptions, MAX_SHMOO_SCALE,
 };
 pub use registers::{ripple_counter, shift_register};
 pub use ring::ring_oscillator;

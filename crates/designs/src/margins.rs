@@ -357,6 +357,12 @@ pub fn shmoo_design_names() -> &'static [&'static str] {
     ]
 }
 
+/// The largest time-scale factor a shmoo map accepts. A thousand times the
+/// nominal schedule lies deep in every bench's all-pass region, and keeps
+/// every scaled stimulus time finite; every bench builds for any factor in
+/// `[0, MAX_SHMOO_SCALE]`.
+pub const MAX_SHMOO_SCALE: f64 = 1e3;
+
 /// A scaled stimulus bench builder: constructs a design with its input
 /// schedule stretched by the given time-scale factor.
 pub type ScaledBuild = fn(f64) -> Circuit;
@@ -409,9 +415,12 @@ fn check_min_max(ev: &Events) -> bool {
 
 /// Race tree classifying toward label `a`: feature 1 sits `30·s` ps below
 /// its 50 ps threshold, so tight scales put the race photo-finish close.
+/// Past `s = 5/3` the feature bottoms out at 0 ps (it can arrive no
+/// earlier than `start`).
 fn build_race_tree(s: f64) -> Circuit {
     let mut c = Circuit::new();
-    race_tree_with_inputs(&mut c, 50.0 - 30.0 * s, 10.0, 20.0, Thresholds::default())
+    let f1 = (50.0 - 30.0 * s).max(0.0);
+    race_tree_with_inputs(&mut c, f1, 10.0, 20.0, Thresholds::default())
         .expect("valid race-tree bench");
     c
 }
@@ -542,7 +551,9 @@ fn check_bitonic_32(ev: &Events) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `design` is not one of [`shmoo_design_names`].
+/// Panics if `design` is not one of [`shmoo_design_names`], or if a scale
+/// outside `[0, MAX_SHMOO_SCALE]` gives the bench a negative or non-finite
+/// stimulus time.
 pub fn shmoo_map(design: &str, sigmas: &[f64], scales: &[f64], opts: &ShmooOptions) -> ShmooMap {
     let (build, check) = design_spec(design);
     let n_cols = scales.len();

@@ -439,7 +439,8 @@ impl Server {
     }
 
     /// Current accounting. `requests`/`errors` only advance through
-    /// [`serve_reader`](Self::serve_reader); cache traffic always counts.
+    /// [`serve_observed`](Self::serve_observed); cache traffic always
+    /// counts.
     pub fn summary(&self) -> ServeSummary {
         ServeSummary {
             cache_hits: self.cache.hits(),
@@ -541,25 +542,12 @@ impl Server {
     }
 
     /// Serve every non-blank line of `input`, writing one response line per
-    /// request to `output` in request order.
-    ///
-    /// # Errors
-    ///
-    /// Only I/O errors from `input`/`output`; request failures are answered
-    /// in-band.
-    pub fn serve_reader(
-        &self,
-        input: impl BufRead + Send,
-        output: impl Write,
-    ) -> std::io::Result<ServeSummary> {
-        self.serve_observed(input, output, &mut Observer::disabled())
-    }
-
-    /// [`serve_reader`](Self::serve_reader) with out-of-band observability:
-    /// each request is appended to the observer's access log and latency
-    /// histograms, slow requests dump Chrome traces, and the metrics file
-    /// is rewritten at the configured stride, on writer idle, and at end
-    /// of batch. Response bytes are identical to the unobserved path.
+    /// request to `output` in request order, with out-of-band
+    /// observability: each request is appended to the observer's access
+    /// log and latency histograms, slow requests dump Chrome traces, and
+    /// the metrics file is rewritten at the configured stride, on writer
+    /// idle, and at end of batch. Response bytes never depend on the
+    /// observer: pass [`Observer::disabled`] to serve without one.
     ///
     /// Requests are handled by [`workers`](Self::workers) concurrent
     /// request workers behind an in-order reorder buffer (internals in
@@ -568,7 +556,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors from `input`/`output` or from the observer's sinks.
+    /// I/O errors from `input`/`output` or from the observer's sinks;
+    /// request failures are answered in-band.
     pub fn serve_observed(
         &self,
         input: impl BufRead + Send,
@@ -742,6 +731,14 @@ impl Server {
         };
         let sigmas = axis("sigmas")?;
         let scales = axis("scales")?;
+        // A negative, non-finite or overflowing scale would give the bench
+        // a stimulus time the circuit builder rejects with a panic.
+        let max_scale = rlse_designs::MAX_SHMOO_SCALE;
+        if let Some(bad) = scales.iter().find(|s| !(0.0..=max_scale).contains(*s)) {
+            return Err(RequestError(format!(
+                "shmoo 'scales' entries must lie in [0, {max_scale}], got {bad:?}"
+            )));
+        }
         let mut opts = rlse_designs::ShmooOptions {
             threads: self.engine_threads,
             ..Default::default()
@@ -994,6 +991,27 @@ mod tests {
         assert!(r.contains("\"ok\":false"), "{r}");
         assert!(r.contains("bad request JSON"), "{r}");
 
+        // A shmoo scale that is negative, non-finite or overflows a scaled
+        // stimulus time panicked in the circuit builder and took the
+        // worker down with it.
+        for scales in ["[-1.0]", "[1e307]", "[1.0,-0.5]", "[1001]"] {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[1.0],\
+                 \"scales\":{scales}}}"
+            ));
+            assert!(r.contains("\"ok\":false"), "{scales}: {r}");
+            assert!(r.contains("scales"), "{scales}: {r}");
+        }
+        // Every bench builds across the whole accepted range, including a
+        // race tree stretched past its feature's zero point.
+        for design in rlse_designs::shmoo_design_names() {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"{design}\",\"sigmas\":[0.0],\
+                 \"scales\":[0.0,3.0,1000.0],\"trials\":1}}"
+            ));
+            assert!(r.contains("\"ok\":true"), "{design}: {r}");
+        }
+
         // The server still answers well-formed requests afterwards.
         let ir = rlse_designs::design_ir("min_max", 1.0);
         let good = format!(
@@ -1096,11 +1114,11 @@ mod tests {
         let requests = fixture_requests();
         let mut pass1 = Vec::new();
         let sum1 = server
-            .serve_reader(requests.as_bytes(), &mut pass1)
+            .serve_observed(requests.as_bytes(), &mut pass1, &mut Observer::disabled())
             .unwrap();
         let mut pass2 = Vec::new();
         let sum2 = server
-            .serve_reader(requests.as_bytes(), &mut pass2)
+            .serve_observed(requests.as_bytes(), &mut pass2, &mut Observer::disabled())
             .unwrap();
         assert_eq!(pass1, pass2, "responses must be byte-identical");
         assert_eq!(sum1.requests, 6);

@@ -161,9 +161,9 @@ pub struct SchedStats {
     pub idle_flushes: u64,
 }
 
-/// Where the out-of-band streams go. Everything defaults to off; the plain
-/// [`Server::serve_reader`](crate::Server::serve_reader) path uses a
-/// disabled [`Observer`] and pays only a few branch checks per request.
+/// Where the out-of-band streams go. Everything defaults to off; serving
+/// with a [disabled](Observer::disabled) [`Observer`] pays only a few
+/// branch checks per request.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveOptions {
     /// JSON-lines access log path (one [`AccessRecord`] per request).

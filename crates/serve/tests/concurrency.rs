@@ -141,7 +141,9 @@ fn duplicate_hash_corpus_compiles_each_distinct_circuit_once() {
             ..ServeOptions::default()
         });
         let mut out = Vec::new();
-        let summary = server.serve_reader(requests.as_bytes(), &mut out).unwrap();
+        let summary = server
+            .serve_observed(requests.as_bytes(), &mut out, &mut Observer::disabled())
+            .unwrap();
         assert_eq!(
             summary.cache_misses, distinct,
             "workers={workers}: one compile per distinct circuit"
@@ -166,7 +168,7 @@ fn per_tenant_cache_accounting_is_worker_count_independent() {
         });
         let mut out = Vec::new();
         server
-            .serve_reader(requests.as_bytes(), &mut out)
+            .serve_observed(requests.as_bytes(), &mut out, &mut Observer::disabled())
             .unwrap()
             .to_json()
     };
@@ -269,4 +271,63 @@ fn metrics_flush_on_writer_idle_keeps_the_file_fresh() {
     assert!(text.contains("rlse_requests_total 1"), "{text}");
     assert!(text.contains("rlse_sched_idle_flushes_total"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rejected_shmoo_line_leaves_the_rest_of_the_stream_answered_in_order() {
+    // An out-of-range shmoo scale used to panic inside a worker; the dead
+    // worker left the reader blocked on a full queue, so nothing after it
+    // was answered. Serve on a helper thread so a regression fails here
+    // instead of hanging the suite.
+    let mut lines = vec![
+        "{\"id\":\"bad-0\",\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[1.0],\
+         \"scales\":[-1.0]}"
+            .to_string(),
+    ];
+    for i in 1..=12 {
+        lines.push(format!("{{\"id\":\"ping-{i}\",\"kind\":\"ping\"}}"));
+    }
+    lines.insert(
+        7,
+        "{\"id\":\"bad-7\",\"kind\":\"shmoo\",\"design\":\"bitonic_32\",\"sigmas\":[0.2],\
+         \"scales\":[1e307]}"
+            .to_string(),
+    );
+    let requests = lines.join("\n") + "\n";
+    for workers in [1, 4] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let input = requests.clone();
+        let serving = std::thread::spawn(move || {
+            let server = Server::new(ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            });
+            let mut out = Vec::new();
+            let served = server
+                .serve_observed(input.as_bytes(), &mut out, &mut Observer::disabled())
+                .map(|_| out);
+            let _ = tx.send(served);
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("workers={workers}: the stream was not fully answered"))
+            .unwrap();
+        serving.join().expect("serving thread panicked");
+        let responses: Vec<JsonValue> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| JsonValue::parse(l).unwrap())
+            .collect();
+        assert_eq!(
+            responses.len(),
+            lines.len(),
+            "workers={workers}: one response per line"
+        );
+        for (line, resp) in lines.iter().zip(&responses) {
+            let req = JsonValue::parse(line).unwrap();
+            assert_eq!(resp.get("id"), req.get("id"), "workers={workers}: in order");
+            let bad = req.get("kind").and_then(JsonValue::as_str) == Some("shmoo");
+            assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(!bad));
+        }
+    }
 }

@@ -70,7 +70,7 @@ fn observed_responses_are_byte_identical_to_plain_serving() {
     let plain_server = Server::new(ServeOptions::default());
     let mut plain = Vec::new();
     plain_server
-        .serve_reader(requests.as_bytes(), &mut plain)
+        .serve_observed(requests.as_bytes(), &mut plain, &mut Observer::disabled())
         .unwrap();
 
     let observed_server = Server::new(ServeOptions::default());
@@ -154,7 +154,11 @@ fn summary_accounts_by_kind_and_tenant() {
     let server = Server::new(ServeOptions::default());
     let mut out = Vec::new();
     let summary = server
-        .serve_reader(fixture_requests().as_bytes(), &mut out)
+        .serve_observed(
+            fixture_requests().as_bytes(),
+            &mut out,
+            &mut Observer::disabled(),
+        )
         .unwrap();
 
     assert_eq!(summary.requests, 6);
@@ -181,7 +185,11 @@ fn summary_accounts_by_kind_and_tenant() {
     let server = Server::new(ServeOptions::default());
     let mut out = Vec::new();
     let summary = server
-        .serve_reader("{\"kind\":\"nope\",\"tenant\":\"acme\"}\n".as_bytes(), &mut out)
+        .serve_observed(
+            "{\"kind\":\"nope\",\"tenant\":\"acme\"}\n".as_bytes(),
+            &mut out,
+            &mut Observer::disabled(),
+        )
         .unwrap();
     assert_eq!(summary.kinds.get("error"), Some(&KindTally { requests: 1, errors: 1 }));
     assert_eq!(summary.tenants.get("acme").map(|t| t.errors), Some(1));

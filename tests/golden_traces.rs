@@ -105,9 +105,7 @@ fn golden_xsfq_adder() {
 #[test]
 fn golden_bitonic_16() {
     // The scaled 16-input sorter under the depth-stretched rank-gap
-    // stimulus. This golden doubles as the parallel event loop's reference:
-    // `tests/sim_parallel_differential.rs` renders the partitioned trace
-    // and compares it to this same file byte for byte.
+    // stimulus: the largest trace pinned byte for byte.
     let mut c = Circuit::new();
     bitonic_sorter_with_inputs(&mut c, &bitonic_stimulus(16, 15.0)).unwrap();
     assert_golden("bitonic_16", &render_trace(c));

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use rlse::core::circuit::NodeId;
 use rlse::core::machine::{Config, InputId, Machine};
+use rlse::core::sweep::{BatchSweep, TrialVerdict};
 use rlse::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -136,6 +137,10 @@ fn cell_pool() -> Vec<Arc<Machine>> {
         rlse::cells::defs::c_elem(),
         rlse::cells::defs::c_inv_elem(),
         rlse::cells::extra::tff_elem(),
+        // Clocked cells: their setup time is a past constraint on `clk`,
+        // so these are the cells whose dispatch reads Θ.
+        rlse::cells::defs::and_elem(),
+        rlse::cells::defs::or_elem(),
     ]
 }
 
@@ -145,7 +150,8 @@ fn cell_pool() -> Vec<Arc<Machine>> {
 fn random_circuit(picks: &[u8], n_in: usize) -> Circuit {
     let mut circ = Circuit::new();
     // Widely spaced input pulses so async decision cells never see
-    // violation-close pairs regardless of topology.
+    // violation-close pairs regardless of topology. Clocked cells can
+    // still miss their setup time, which every engine must then report.
     let mut frontier: Vec<Wire> = (0..n_in)
         .map(|i| circ.inp_at(&[40.0 + 40.0 * i as f64], &format!("I{i}")))
         .collect();
@@ -198,6 +204,43 @@ fn assert_equivalent(circ_a: Circuit, circ_b: Circuit) {
     }
 }
 
+/// The batch sweep kernel agrees with the reference on every trial: with
+/// no variability each trial replays the nominal run, or ends in a
+/// `Timing` verdict where the reference reports a violation. Three trials
+/// at width 2 run lanes 0 and 1 of a block — the shared dispatch step
+/// addressing Θ at stride 2 — and lane 0 of a partial block.
+fn assert_batch_matches_reference(build: impl Fn() -> Circuit + Sync) {
+    let reference = reference_run(&build());
+    let details = BatchSweep::over(&build)
+        .trials(3)
+        .batch_width(2)
+        .run_detailed();
+    assert_eq!(details.trials.len(), 3);
+    for trial in &details.trials {
+        let Ok(r) = &reference else {
+            assert_eq!(trial.verdict, TrialVerdict::Timing, "trial {}", trial.trial);
+            continue;
+        };
+        assert_eq!(trial.verdict, TrialVerdict::Ok, "trial {}", trial.trial);
+        for (name, got) in details.names.iter().zip(&trial.outputs) {
+            let want = r.get(name).map_or(&[][..], Vec::as_slice);
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "trial {}: pulse count differs on '{name}': ref {want:?} vs batch {got:?}",
+                trial.trial
+            );
+            for (a, b) in want.iter().zip(got) {
+                assert!(
+                    (a - b).abs() < 1e-9,
+                    "trial {}: '{name}': ref {a} vs batch {b}",
+                    trial.trial
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn reference_matches_simulator_on_min_max() {
     let build = || {
@@ -235,6 +278,7 @@ fn reference_matches_simulator_on_violating_circuit() {
         c
     };
     assert_equivalent(build(), build());
+    assert_batch_matches_reference(build);
     // And confirm both actually error (not both silently succeed).
     assert!(reference_run(&build()).is_err());
 }
@@ -242,15 +286,16 @@ fn reference_matches_simulator_on_violating_circuit() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The production simulator and the Fig. 6 reference interpreter agree
-    /// on random feed-forward circuits.
+    /// The production simulator, the batch sweep kernel and the Fig. 6
+    /// reference interpreter agree on random feed-forward circuits.
     #[test]
     fn reference_matches_simulator_on_random_circuits(
-        picks in proptest::collection::vec(0u8..6, 1..24),
+        picks in proptest::collection::vec(0u8..8, 1..24),
         n_in in 1usize..5,
     ) {
         let a = random_circuit(&picks, n_in);
         let b = random_circuit(&picks, n_in);
         assert_equivalent(a, b);
+        assert_batch_matches_reference(|| random_circuit(&picks, n_in));
     }
 }
