@@ -1,21 +1,21 @@
 //! Criterion bench for the Monte-Carlo sweep engine: the same 1000-trial
 //! Gaussian-jitter study of the 4-bit ripple adder run three ways —
 //!
-//! * `serial_rebuild` — the pre-sweep baseline: rebuild the circuit and a
+//! * `serial_rebuild` — the per-trial baseline: rebuild the circuit and a
 //!   fresh `Simulation` for every trial, single-threaded (what the old
 //!   `robustness` binary did);
-//! * `sweep_1_thread` — the sweep engine pinned to one worker, isolating
-//!   the `Simulation::reset()` reuse win (no rebuild, reused heap/buffers);
-//! * `sweep_all_threads` — the sweep engine on all cores, adding the
-//!   parallel fan-out win.
+//! * `sweep_1_thread_w64` — the sweep's lane kernel pinned to one worker,
+//!   isolating the compile-once, observed-only-recording win;
+//! * `sweep_all_threads_w64` — the same on all cores, adding the parallel
+//!   fan-out win.
 //!
-//! A final smoke check prints the measured speedup of the parallel sweep
-//! over the serial-rebuild baseline; the acceptance bar is ≥ 2× on 4+
-//! cores.
+//! A width scan prices the batch width at one thread, and a final smoke
+//! check prints the measured speedup of the sweep over the serial-rebuild
+//! baseline and asserts both agree on trial outcomes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlse_core::prelude::*;
-use rlse_core::sweep::{trial_seed, BatchSweep};
+use rlse_core::sweep::trial_seed;
 use rlse_designs::ripple_adder_with_inputs;
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ fn build() -> Circuit {
     c
 }
 
-/// The pre-sweep baseline: per-trial rebuild, serial.
+/// The per-trial baseline: rebuild, serial.
 fn serial_rebuild(trials: u64) -> u64 {
     let mut ok = 0;
     for trial in 0..trials {
@@ -43,17 +43,8 @@ fn serial_rebuild(trials: u64) -> u64 {
     ok
 }
 
-fn run_sweep(trials: u64, threads: usize) -> SweepReport {
+fn run_sweep(trials: u64, threads: usize, width: usize) -> SweepReport {
     Sweep::over(build)
-        .variability(|| Variability::Gaussian { std: SIGMA })
-        .trials(trials)
-        .master_seed(SEED)
-        .threads(threads)
-        .run()
-}
-
-fn run_batch(trials: u64, threads: usize, width: usize) -> SweepReport {
-    BatchSweep::over(build)
         .variability(|| Variability::Gaussian { std: SIGMA })
         .trials(trials)
         .master_seed(SEED)
@@ -66,11 +57,9 @@ fn monte_carlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_ripple_adder_1000");
     group.sample_size(10);
     group.bench_function("serial_rebuild", |b| b.iter(|| serial_rebuild(TRIALS)));
-    group.bench_function("sweep_1_thread", |b| b.iter(|| run_sweep(TRIALS, 1)));
-    group.bench_function("sweep_all_threads", |b| b.iter(|| run_sweep(TRIALS, 0)));
-    group.bench_function("batch_1_thread_w64", |b| b.iter(|| run_batch(TRIALS, 1, 64)));
-    group.bench_function("batch_all_threads_w64", |b| {
-        b.iter(|| run_batch(TRIALS, 0, 64))
+    group.bench_function("sweep_1_thread_w64", |b| b.iter(|| run_sweep(TRIALS, 1, 64)));
+    group.bench_function("sweep_all_threads_w64", |b| {
+        b.iter(|| run_sweep(TRIALS, 0, 64))
     });
     group.finish();
 }
@@ -82,7 +71,7 @@ fn batch_width_scan(c: &mut Criterion) {
     group.sample_size(10);
     for width in [1usize, 8, 16, 64, 256] {
         group.bench_function(format!("w{width}"), |b| {
-            b.iter(|| run_batch(TRIALS, 1, width))
+            b.iter(|| run_sweep(TRIALS, 1, width))
         });
     }
     group.finish();
@@ -93,28 +82,18 @@ fn speedup_summary(_c: &mut Criterion) {
     let baseline_ok = serial_rebuild(TRIALS);
     let baseline = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let report = run_sweep(TRIALS, 0);
+    let report = run_sweep(TRIALS, 0, 64);
     let parallel = t1.elapsed().as_secs_f64();
-    let t2 = Instant::now();
-    let batch = run_batch(TRIALS, 0, 64);
-    let batch_s = t2.elapsed().as_secs_f64();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "speedup summary: serial rebuild {baseline:.3}s vs parallel sweep {parallel:.3}s \
-         vs batch kernel {batch_s:.3}s => sweep {:.2}x, batch {:.2}x on {cores} cores \
-         (ok: baseline {baseline_ok}, sweep {}, batch {})",
+        "speedup summary: serial rebuild {baseline:.3}s vs sweep {parallel:.3}s \
+         => {:.2}x on {cores} cores (ok: baseline {baseline_ok}, sweep {})",
         baseline / parallel.max(1e-12),
-        baseline / batch_s.max(1e-12),
         report.ok,
-        batch.ok,
     );
     assert_eq!(
         baseline_ok, report.ok,
         "sweep and baseline must agree on trial outcomes"
-    );
-    assert_eq!(
-        report, batch,
-        "batch kernel and per-trial sweep must produce identical reports"
     );
 }
 

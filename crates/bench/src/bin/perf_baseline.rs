@@ -22,7 +22,7 @@
 //!
 //! Event and state counts come from the shared telemetry layer
 //! ([`rlse_core::telemetry`]): every workload is run once with an enabled
-//! [`Telemetry`] handle and the counters (`sim.wire_pulses`, `sweep.trials`,
+//! [`Telemetry`] handle and the counters (`sim.wire_pulses`, `sweep.ok`,
 //! `mc.states`, ...) feed the JSON directly, so the numbers here are the
 //! same ones every other consumer of the telemetry layer sees. A dedicated
 //! section measures the overhead of the instrumentation itself (no handle
@@ -44,8 +44,7 @@ use rlse_bench::{
     simulate, Bench,
 };
 use rlse_core::prelude::*;
-use rlse_core::sweep::{BatchSweep, Sweep};
-use rlse_designs::ripple_adder_with_inputs;
+use rlse_core::sweep::{trial_seed, Sweep};
 use rlse_ta::mc::{check, check_with_telemetry, McOptions, McQuery};
 use rlse_ta::translate::translate_circuit;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -223,90 +222,102 @@ fn measure_sim<F: Fn() -> Bench>(name: &'static str, build: F) -> SimRow {
     }
 }
 
-/// One workload measured on both Monte-Carlo engines at high trial count:
-/// the per-trial-worker scalar sweep (the "before") and the batch
-/// kernel (the "after"), both on all cores. The two engines are proven
-/// bit-identical by `tests/sweep_batch_differential.rs`; this row prices
-/// the structure-of-arrays win (compile-once, observed-only recording, no
-/// per-trial allocation).
-struct BatchRow {
+/// One `sweep` row: a served-size Monte-Carlo study (2,000 trials at
+/// σ = 0.1, one thread) of a design's IR circuit, timed two ways — a
+/// per-trial `Simulation` loop (one simulation reset per trial, the
+/// engine `Sweep` ran before the lane kernel) and `Sweep` itself. With
+/// `check`, a trial passes when every output fires at exactly its
+/// reference times, as a `check:true` sweep request decides. Both ways
+/// report the same `sim.*` counters; the row asserts it.
+struct SweepRow {
     name: &'static str,
+    check: bool,
     trials: u64,
-    threads: usize,
-    batch_width: usize,
-    scalar_ns_per_trial: f64,
-    batch_ns_per_trial: f64,
-    blocks: u64,
-    dispatches: u64,
-    wire_pulses: u64,
+    sim_loop_ns_per_trial: f64,
+    sweep_ns_per_trial: f64,
+    report: TelemetryReport,
 }
 
-impl BatchRow {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns_per_trial / self.batch_ns_per_trial.max(1e-9)
-    }
-}
-
-fn measure_batch_sweep<F>(name: &'static str, build: F, trials: u64) -> BatchRow
-where
-    F: Fn() -> Circuit + Send + Sync + Copy,
-{
-    const SIGMA: f64 = 0.2;
+fn measure_sweep(name: &'static str, check: bool) -> SweepRow {
+    const TRIALS: u64 = 2000;
+    const SIGMA: f64 = 0.1;
     const SEED: u64 = 42;
-    const WIDTH: usize = 64;
-    // One instrumented batch run supplies the per-block counters and the
-    // outcome tallies both engines must agree on (checked cheaply here via
-    // the ok count; the differential test suite proves full bit-identity).
+    let ir = rlse_designs::design_ir_with_expected_outputs(name, 1.0);
+    let expected = ir
+        .queries
+        .iter()
+        .find_map(|q| match q {
+            rlse_core::ir::IrQuery::OutputsOnlyAt { outputs } => Some(outputs.clone()),
+            _ => None,
+        })
+        .expect("reference outputs query");
+    let passes = |ev: &Events| {
+        expected
+            .iter()
+            .all(|(n, times)| ev.times(n) == times.as_slice())
+    };
+    let build = || ir.to_circuit().expect("design IR imports");
+    let sweep = |tel: &Telemetry| {
+        let mut s = Sweep::over(build)
+            .variability(|| Variability::Gaussian { std: SIGMA })
+            .trials(TRIALS)
+            .master_seed(SEED)
+            .threads(1)
+            .telemetry(tel);
+        if check {
+            s = s.check(passes);
+        }
+        s.run()
+    };
+    let sim_loop = |tel: &Telemetry| {
+        let mut sim = Simulation::new(build());
+        sim.set_telemetry(tel);
+        let mut ok = 0u64;
+        for trial in 0..TRIALS {
+            sim.set_seed(trial_seed(SEED, trial));
+            sim.set_variability(Some(Variability::Gaussian { std: SIGMA }));
+            if sim.run().is_ok_and(|ev| !check || passes(&ev)) {
+                ok += 1;
+            }
+        }
+        ok
+    };
     let tel = Telemetry::new();
-    let batch_ok = BatchSweep::over(build)
-        .variability(|| Variability::Gaussian { std: SIGMA })
-        .trials(trials)
-        .master_seed(SEED)
-        .batch_width(WIDTH)
-        .telemetry(&tel)
-        .run()
-        .ok;
+    let ok = sweep(&tel).ok;
+    let loop_tel = Telemetry::new();
+    assert_eq!(
+        sim_loop(&loop_tel),
+        ok,
+        "{name}: engines disagree on outcomes"
+    );
     let report = tel.report();
-    let scalar_ok = Sweep::over(build)
-        .variability(|| Variability::Gaussian { std: SIGMA })
-        .trials(trials)
-        .master_seed(SEED)
-        .run()
-        .ok;
-    assert_eq!(batch_ok, scalar_ok, "{name}: engines disagree on outcomes");
-    let scalar_ns = time_median(
+    assert_eq!(
+        report.counters_with_prefix("sim."),
+        loop_tel.report().counters_with_prefix("sim."),
+        "{name}: the sweep's sim.* counters must equal the per-trial loop's"
+    );
+    let disabled = Telemetry::disabled();
+    let sim_loop_ns = time_median(
         || {
-            Sweep::over(build)
-                .variability(|| Variability::Gaussian { std: SIGMA })
-                .trials(trials)
-                .master_seed(SEED)
-                .run();
+            sim_loop(&disabled);
         },
         600.0,
-        3,
+        5,
     );
-    let batch_ns = time_median(
+    let sweep_ns = time_median(
         || {
-            BatchSweep::over(build)
-                .variability(|| Variability::Gaussian { std: SIGMA })
-                .trials(trials)
-                .master_seed(SEED)
-                .batch_width(WIDTH)
-                .run();
+            sweep(&disabled);
         },
         600.0,
-        3,
+        5,
     );
-    BatchRow {
+    SweepRow {
         name,
-        trials,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        batch_width: WIDTH,
-        scalar_ns_per_trial: scalar_ns / trials as f64,
-        batch_ns_per_trial: batch_ns / trials as f64,
-        blocks: report.counter("sweep_batch.blocks"),
-        dispatches: report.counter("sweep_batch.dispatches"),
-        wire_pulses: report.counter("sweep_batch.wire_pulses"),
+        check,
+        trials: TRIALS,
+        sim_loop_ns_per_trial: sim_loop_ns / TRIALS as f64,
+        sweep_ns_per_trial: sweep_ns / TRIALS as f64,
+        report,
     }
 }
 
@@ -544,61 +555,11 @@ fn main() {
         measure_sim("bitonic_32", || bench_bitonic(32)),
     ];
 
-    // Sweep: the 1000-trial Gaussian study of the 4-bit ripple adder from
-    // benches/sweep.rs, pinned to one worker so the number isolates kernel
-    // cost rather than core count. The trial/outcome tallies come from one
-    // instrumented sweep; the timed loop runs uninstrumented.
-    const TRIALS: u64 = 1000;
-    let build_adder = || {
-        let mut c = Circuit::new();
-        ripple_adder_with_inputs(&mut c, 4, 9, 6, false).expect("valid bench");
-        c
-    };
-    let sweep_tel = Telemetry::new();
-    {
-        let report = Sweep::over(build_adder)
-            .variability(|| Variability::Gaussian { std: 0.2 })
-            .trials(TRIALS)
-            .master_seed(42)
-            .threads(1)
-            .telemetry(&sweep_tel)
-            .run();
-        assert_eq!(report.trials, TRIALS);
-    }
-    let sweep_report = sweep_tel.report();
-    assert_eq!(sweep_report.counter("sweep.trials"), TRIALS);
-    let adder_events = {
-        let mut sim = Simulation::new(build_adder());
-        sim.run().expect("clean").pulse_count_all() as u64
-    };
-    let sweep_ns = time_median(
-        || {
-            let report = Sweep::over(build_adder)
-                .variability(|| Variability::Gaussian { std: 0.2 })
-                .trials(TRIALS)
-                .master_seed(42)
-                .threads(1)
-                .run();
-            assert_eq!(report.trials, TRIALS);
-        },
-        400.0,
-        3,
-    );
-    let sweep_ns_per_trial = sweep_ns / TRIALS as f64;
-    let sweep_ns_per_event = sweep_ns_per_trial / adder_events.max(1) as f64;
-
-    // Batch sweep: per-trial-worker engine vs the batch kernel on
-    // the same high-trial-count Monte-Carlo workloads (both on all cores).
-    let build_adder8 = || {
-        let mut c = Circuit::new();
-        ripple_adder_with_inputs(&mut c, 8, 173, 99, false).expect("valid bench");
-        c
-    };
-    let batch_rows = [
-        measure_batch_sweep("ripple_adder_4bit", build_adder, 100_000),
-        measure_batch_sweep("ripple_adder_8bit", build_adder8, 100_000),
-        measure_batch_sweep("bitonic_8", || bench_bitonic(8).circuit, 100_000),
-    ];
+    // Sweep: served-size Monte-Carlo studies, per-trial loop vs Sweep.
+    let sweep_rows: Vec<SweepRow> = ["min_max", "race_tree"]
+        .into_iter()
+        .flat_map(|name| [false, true].map(|check| measure_sweep(name, check)))
+        .collect();
 
     // Verification: PyLSE→TA translation of the 8-input bitonic sorter and
     // Query-2 model checking of the And cell (from benches/verification.rs).
@@ -737,35 +698,27 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"sweep\": {{\"name\": \"ripple_adder_4bit_gaussian\", \"trials\": {}, \
-         \"threads\": 1, \"ok_trials\": {}, \"check_failures\": {}, \
-         \"timing_violations\": {}, \"events_per_trial\": {adder_events}, \
-         \"median_ns_per_trial\": {sweep_ns_per_trial:.0}, \
-         \"ns_per_event\": {sweep_ns_per_event:.1}}},\n",
-        sweep_report.counter("sweep.trials"),
-        sweep_report.counter("sweep.ok"),
-        sweep_report.counter("sweep.check_failures"),
-        sweep_report.counter("sweep.timing_violations"),
-    ));
-    out.push_str("  \"sweep_batch\": [\n");
-    for (i, r) in batch_rows.iter().enumerate() {
+    out.push_str("  \"sweep\": [\n");
+    for (i, r) in sweep_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"trials\": {}, \"threads\": {}, \
-             \"batch_width\": {}, \"scalar_ns_per_trial\": {:.1}, \
-             \"batch_ns_per_trial\": {:.1}, \"speedup\": {:.2}, \
-             \"blocks\": {}, \"dispatches\": {}, \"wire_pulses\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"check\": {}, \"trials\": {}, \"threads\": 1, \
+             \"sim_loop_ns_per_trial\": {:.1}, \"sweep_ns_per_trial\": {:.1}, \
+             \"speedup\": {:.2}, \"ok_trials\": {}, \"check_failures\": {}, \
+             \"timing_violations\": {}, \"dispatches\": {}, \"wire_pulses\": {}, \
+             \"max_heap_depth\": {}}}{}\n",
             r.name,
+            r.check,
             r.trials,
-            r.threads,
-            r.batch_width,
-            r.scalar_ns_per_trial,
-            r.batch_ns_per_trial,
-            r.speedup(),
-            r.blocks,
-            r.dispatches,
-            r.wire_pulses,
-            if i + 1 == batch_rows.len() { "" } else { "," }
+            r.sim_loop_ns_per_trial,
+            r.sweep_ns_per_trial,
+            r.sim_loop_ns_per_trial / r.sweep_ns_per_trial.max(1e-9),
+            r.report.counter("sweep.ok"),
+            r.report.counter("sweep.check_failures"),
+            r.report.counter("sweep.timing_violations"),
+            r.report.counter("sim.dispatches"),
+            r.report.counter("sim.wire_pulses"),
+            r.report.gauge("sim.max_heap_depth"),
+            if i + 1 == sweep_rows.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");

@@ -10,7 +10,7 @@
 //!   firing delays and past-constraint lists resolved to contiguous arrays
 //!   (`CompiledMachine`), so a dispatch is a handful of array lookups —
 //!   and the Fig. 6 Dispatch step over it, written once and shared by the
-//!   scalar simulator and the batch sweep kernel;
+//!   scalar simulator and the sweep's lane kernel;
 //! * an interned **symbol table** ([`SymbolTable`]) holding every cell-type,
 //!   wire, state, and port name exactly once, so the event loop passes `u32`
 //!   symbols and strings are materialized only at the trace/VCD/error
@@ -314,7 +314,7 @@ impl CompiledMachine {
     /// `(output, nominal time)` firings to `buf.fired`.
     ///
     /// Θ of input `i` lives at `theta[th_base + i * th_stride]`: the scalar
-    /// simulator passes `(theta_off, 1)`, the batch sweep's lane-strided
+    /// simulator passes `(theta_off, 1)`, the sweep's lane-strided
     /// columns `(theta_off * W + lane, W)`.
     ///
     /// On a violation the offending transition and the reason are returned
@@ -374,7 +374,7 @@ impl CompiledMachine {
 /// Why [`CompiledMachine::dispatch`] rejected a transition, as plain
 /// numbers: the hot path never builds a diagnostic. The scalar simulator
 /// turns it into a Fig.-13 [`TimingViolation`](crate::error::TimingViolation);
-/// the batch sweep only marks the lane dead.
+/// the sweep's lane kernel only marks the lane dead.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reject {
     /// The batch arrived before the previous transition completed.

@@ -5,12 +5,25 @@
 use crate::circuit::Circuit;
 use crate::error::Time;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Pulse times observed on every named wire during a simulation.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Events {
     named: BTreeMap<String, Vec<Time>>,
     all: BTreeMap<String, Vec<Time>>,
+    /// Present only on the sweep lane kernel's scratch dictionary, whose
+    /// `all` map is never filled: raised by every read that needs it
+    /// (shared with clones), so the kernel can take that trial's verdict
+    /// from a full simulation instead.
+    unrecorded: Option<Arc<AtomicBool>>,
+}
+
+impl PartialEq for Events {
+    fn eq(&self, other: &Self) -> bool {
+        self.named == other.named && self.all == other.all
+    }
 }
 
 impl Events {
@@ -24,20 +37,43 @@ impl Events {
             }
             all.insert(wd.name.clone(), evs.clone());
         }
-        Events { named, all }
+        Events {
+            named,
+            all,
+            unrecorded: None,
+        }
     }
 
     /// Pre-build an events dictionary with one empty entry per observed
-    /// wire, for the batch sweep kernel's per-lane check calls. `names`
+    /// wire, for the sweep lane kernel's per-lane check calls. `names`
     /// must be sorted ascending, so the `BTreeMap` iterates in exactly
     /// that order — the contract [`refill_named`](Self::refill_named)
-    /// relies on. Only observed wires are present (anonymous internal
-    /// wires are not recorded by the batch kernel).
+    /// relies on. Only observed wires are present (internal wires are not
+    /// recorded by the lane kernel); a read that needs the others is noted
+    /// for [`take_unrecorded_read`](Self::take_unrecorded_read).
     pub(crate) fn preallocated(names: &[String]) -> Self {
         Events {
             named: names.iter().map(|n| (n.clone(), Vec::new())).collect(),
             all: BTreeMap::new(),
+            unrecorded: Some(Arc::default()),
         }
+    }
+
+    /// Whether a read needed the unrecorded wires of a
+    /// [`preallocated`](Self::preallocated) dictionary since the last call
+    /// (always `false` on any other dictionary).
+    pub(crate) fn take_unrecorded_read(&self) -> bool {
+        self.unrecorded
+            .as_ref()
+            .is_some_and(|f| f.swap(false, Ordering::Relaxed))
+    }
+
+    /// The `all` map, noting the read on a scratch dictionary.
+    fn all(&self) -> &BTreeMap<String, Vec<Time>> {
+        if let Some(f) = &self.unrecorded {
+            f.store(true, Ordering::Relaxed);
+        }
+        &self.all
     }
 
     /// Replace every named entry's pulse list in place, in sorted-name
@@ -56,6 +92,7 @@ impl Events {
         Events {
             all: map.clone(),
             named: map,
+            unrecorded: None,
         }
     }
 
@@ -64,7 +101,7 @@ impl Events {
     pub fn times(&self, name: &str) -> &[Time] {
         self.named
             .get(name)
-            .or_else(|| self.all.get(name))
+            .or_else(|| self.all().get(name))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -82,7 +119,7 @@ impl Events {
     /// Iterate over `(name, times)` for *every* wire, including anonymous
     /// internal ones (named `_N`).
     pub fn iter_all(&self) -> impl Iterator<Item = (&str, &[Time])> {
-        self.all.iter().map(|(n, t)| (n.as_str(), t.as_slice()))
+        self.all().iter().map(|(n, t)| (n.as_str(), t.as_slice()))
     }
 
     /// Total number of pulses observed on named wires.
@@ -92,7 +129,7 @@ impl Events {
 
     /// Total number of pulses on all wires (a measure of simulation work).
     pub fn pulse_count_all(&self) -> usize {
-        self.all.values().map(Vec::len).sum()
+        self.all().values().map(Vec::len).sum()
     }
 
     /// True if no pulses were observed on any named wire.

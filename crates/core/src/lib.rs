@@ -15,7 +15,7 @@
 //! * [`compiled`] — the one-time lowering of a circuit into flat dispatch
 //!   tables and interned names that makes the simulator's hot loop
 //!   allocation-free, and the compiled Fig. 6 Dispatch step that the
-//!   simulator and the batch sweep kernel share.
+//!   simulator and the sweep's lane kernel share.
 //! * [`sweep`] — deterministically-seeded parallel Monte-Carlo sweeps over
 //!   a circuit under variability (the §5.2 / Fig. 13 experiments).
 //! * [`telemetry`] — zero-cost-when-disabled counters, spans, and timeline

@@ -13,14 +13,14 @@
 //! by [`CompiledCircuit::compile`] into flat transition tables and an
 //! interned symbol table (see [`crate::compiled`]); the event loop then works
 //! entirely with `u32` state/port/symbol indices, runs every batch through
-//! the compiled Dispatch step shared with the batch sweep kernel, mutates
+//! the compiled Dispatch step shared with the sweep's lane kernel, mutates
 //! the flat `(state, τ_done, Θ)` runtime arrays in place, and reuses
 //! per-simulation scratch buffers for the simultaneous-pulse batch, the
 //! dispatch working set, and the fired-output list. Strings are
 //! materialized only at the boundary: [`TraceEntry`] construction, timing
 //! diagnostics, and the final [`Events`] dictionary. Compiled tables
-//! survive [`Simulation::reset`], so Monte-Carlo sweep workers compile once
-//! per circuit, not once per trial.
+//! survive [`Simulation::reset`], so repeated runs compile once per
+//! circuit, not once per run.
 
 use crate::circuit::{Circuit, NodeKind};
 use crate::compiled::{
@@ -83,7 +83,7 @@ impl std::fmt::Debug for Variability {
 /// term would not: the delay round-trips through `t + (fire − t)`, which is
 /// not an f64 identity. `0.0` marks a [`Custom`](Variability::Custom)
 /// model, which always calls the user closure. Shared by the scalar
-/// simulator and the batch sweep kernel so both resolve identically.
+/// simulator and the sweep's lane kernel so both resolve identically.
 pub(crate) fn resolve_sigma(v: &Variability, cell: &str) -> f64 {
     match v {
         Variability::Gaussian { std } => {
@@ -131,7 +131,7 @@ impl BoxMuller {
 /// at `t`: each delay is replaced by the custom model's, or jittered by
 /// `std`·N(0, 1), and clamped at zero. Callers skip nodes whose resolved
 /// `std` is NaN (see [`resolve_sigma`]). Shared by the scalar simulator and
-/// the batch sweep kernel, so both draw identical jitter streams.
+/// the sweep's lane kernel, so both draw identical jitter streams.
 pub(crate) fn jitter(
     fired: &mut [(u32, f64)],
     t: Time,

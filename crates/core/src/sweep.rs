@@ -9,15 +9,33 @@
 //! same jitter stream no matter which thread runs it or how many threads
 //! exist. Per-trial statistics are reduced on the driving thread in trial
 //! order, so the aggregated [`SweepReport`] is **bit-identical** for a given
-//! master seed at any thread count.
+//! master seed at any thread count and any batch width.
 //!
-//! Each worker builds the circuit **once** and then reuses the simulation
-//! across its trials via [`Simulation::reset`], which keeps the pulse heap,
-//! event buffers, and machine-configuration vector allocated — the hot-path
-//! win over the naive rebuild-per-trial loop. Because reset retains the
-//! [compiled dispatch tables](crate::compiled) as well, each worker pays
-//! circuit compilation exactly once; every trial after the first runs the
-//! allocation-free steady-state kernel.
+//! ## One engine
+//!
+//! Every hole-free circuit runs on the [lane kernel](batch): the circuit is
+//! built and compiled once per sweep, and blocks of
+//! [`batch_width`](Sweep::batch_width) trials advance over dense per-lane
+//! arrays through the simulator's own Dispatch step. Each trial's verdict
+//! and pulse times equal those of a fresh [`Simulation`] run with the
+//! trial's seed — the property `tests/sweep_batch_differential.rs` checks
+//! trial by trial.
+//!
+//! Circuits containing [`Hole`](crate::functional::Hole) nodes take the one
+//! fallback: a single [`Simulation`] on the calling thread, reused across
+//! trials via [`Simulation::reset`]. Hole closures may carry arbitrary
+//! internal state, which lane-blocked or multi-worker execution would
+//! split.
+//!
+//! ## Telemetry
+//!
+//! With a handle attached ([`Sweep::telemetry`]) both paths report the
+//! simulator's `sim.*` counters summed over trials (see the
+//! [kernel docs](batch#telemetry) for the schema), plus the sweep's own
+//! verdict counters `sweep.runs`, `sweep.trials`, `sweep.ok`,
+//! `sweep.check_failures`, `sweep.timing_violations` and
+//! `sweep.other_errors`, a `sweep.run` span on track 0 and one
+//! `sweep.worker` span per worker on tracks 1…T.
 //!
 //! ```
 //! use rlse_core::prelude::*;
@@ -53,8 +71,6 @@ use crate::sim::{Simulation, Variability};
 use crate::telemetry::Telemetry;
 
 pub mod batch;
-
-pub use batch::BatchSweep;
 
 /// SplitMix64 finalizer: derive the RNG seed of trial `trial` from the
 /// sweep's master seed. A pure function of `(master, trial)`, so the
@@ -191,7 +207,7 @@ impl TrialOutcome {
 }
 
 /// The pass/fail classification of one trial, as exposed by
-/// [`Sweep::run_detailed`] and [`BatchSweep::run_detailed`](batch::BatchSweep::run_detailed).
+/// [`Sweep::run_detailed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialVerdict {
     /// Clean simulation, check passed (or no check installed).
@@ -221,8 +237,7 @@ pub struct TrialDetail {
 /// Per-trial results of a sweep (see [`Sweep::run_detailed`]): the
 /// differential-testing view, where every verdict and pulse time is exposed
 /// instead of aggregated. Comparable with `==`; equal inputs produce
-/// bit-identical details regardless of engine, thread count, or batch
-/// width.
+/// bit-identical details regardless of thread count or batch width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepDetails {
     /// Observed output names, sorted ascending.
@@ -315,9 +330,9 @@ fn observed_names(probe: &Circuit) -> Vec<String> {
 }
 
 /// Serial, trial-ordered reduction of per-trial outcomes into a
-/// [`SweepReport`]. Shared by the scalar and batch engines: both feed it
-/// outcomes in trial order, so the floating-point accumulation order — and
-/// therefore the report — is bitwise-equal whenever the outcomes are.
+/// [`SweepReport`]. Both execution paths feed it outcomes in trial order,
+/// so the floating-point accumulation order — and therefore the report —
+/// is bitwise-equal whenever the outcomes are.
 fn reduce(names: Vec<String>, trials: u64, records: &[TrialOutcome]) -> SweepReport {
     let mut accs: Vec<OutAcc> = vec![OutAcc::empty(); names.len()];
     let (mut ok, mut check_failures, mut timing, mut other) = (0u64, 0u64, 0u64, 0u64);
@@ -377,6 +392,11 @@ fn reduce(names: Vec<String>, trials: u64, records: &[TrialOutcome]) -> SweepRep
 /// The boxed per-trial acceptance predicate installed by [`Sweep::check`].
 type CheckFn<'a> = Box<dyn Fn(&Events) -> bool + Sync + 'a>;
 
+/// Per-trial outcomes in trial order, plus every trial's output pulse
+/// times (one list per observed name, empty for aborted trials) when a
+/// detailed run asked for them.
+type Outcomes = (Vec<TrialOutcome>, Option<Vec<Vec<Vec<Time>>>>);
+
 /// A deterministically-seeded, parallel Monte-Carlo sweep builder.
 ///
 /// See the [module docs](self) for the determinism contract and an example.
@@ -387,6 +407,7 @@ pub struct Sweep<'a> {
     trials: u64,
     master_seed: u64,
     threads: usize,
+    batch_width: usize,
     until: Option<Time>,
     telemetry: Telemetry,
 }
@@ -397,6 +418,7 @@ impl std::fmt::Debug for Sweep<'_> {
             .field("trials", &self.trials)
             .field("master_seed", &self.master_seed)
             .field("threads", &self.threads)
+            .field("batch_width", &self.batch_width)
             .field("until", &self.until)
             .finish_non_exhaustive()
     }
@@ -404,8 +426,8 @@ impl std::fmt::Debug for Sweep<'_> {
 
 impl<'a> Sweep<'a> {
     /// Start a sweep over the circuit produced by `build`. The builder is
-    /// called once per worker thread (not once per trial); it must be
-    /// deterministic — every call must produce the same circuit.
+    /// called once per run, for the probe circuit that is checked, compiled
+    /// and simulated; it must be deterministic.
     pub fn over(build: impl Fn() -> Circuit + Sync + 'a) -> Self {
         Sweep {
             build: Box::new(build),
@@ -414,17 +436,18 @@ impl<'a> Sweep<'a> {
             trials: 100,
             master_seed: 0,
             threads: 0,
+            batch_width: 16,
             until: None,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Attach a [`Telemetry`] handle. Every worker's simulation flushes its
-    /// counters into it (summed over trials, so the resulting
+    /// Attach a [`Telemetry`] handle. Trials report the simulator's `sim.*`
+    /// counters (summed over trials, so the resulting
     /// [`TelemetryReport`](crate::telemetry::TelemetryReport) is
-    /// bit-identical at any thread count), workers record per-worker spans
-    /// on 1-based timeline tracks, and the sweep itself adds `sweep.*`
-    /// counters plus a `sweep.run` span on track 0.
+    /// bit-identical at any thread count and batch width), workers record
+    /// `sweep.worker` spans on 1-based timeline tracks, and the sweep itself
+    /// adds `sweep.*` counters plus a `sweep.run` span on track 0.
     pub fn telemetry(mut self, tel: &Telemetry) -> Self {
         self.telemetry = tel.clone();
         self
@@ -445,9 +468,19 @@ impl<'a> Sweep<'a> {
 
     /// Set the worker thread count. `0` (the default) uses the machine's
     /// available parallelism. The thread count affects wall-clock only,
-    /// never the report's contents.
+    /// never the report's contents. Circuits with holes run serially.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
+        self
+    }
+
+    /// Set the batch width `W`: how many trials (lanes) one block of the
+    /// lane kernel advances over one shared set of dense arrays (default
+    /// 16). Wider blocks amortize block setup over more lanes but touch more
+    /// state per cell; like the thread count, the width can never change the
+    /// results, only the wall clock.
+    pub fn batch_width(mut self, width: usize) -> Self {
+        self.batch_width = width.max(1);
         self
     }
 
@@ -468,48 +501,31 @@ impl<'a> Sweep<'a> {
 
     /// Add a per-trial output check (e.g. "outputs are rank-ordered"); a
     /// clean simulation whose events fail the check counts as a
-    /// `check_failure` instead of `ok`.
+    /// `check_failure` instead of `ok`. The check sees the events a
+    /// simulation of the trial returns. Lanes record the observed wires
+    /// only, so a trial whose check reads an internal wire is simulated
+    /// once more for its verdict (the check then runs twice).
     pub fn check(mut self, check: impl Fn(&Events) -> bool + Sync + 'a) -> Self {
         self.check = Some(Box::new(check));
         self
     }
 
-    fn effective_threads(&self) -> usize {
+    /// Workers to spawn for `n_blocks` blocks of work.
+    fn effective_threads(&self, n_blocks: usize) -> usize {
         let t = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.threads
         };
-        // No point spawning more workers than trials.
-        t.min(self.trials.max(1) as usize)
-    }
-
-    /// Run one trial on a reusable simulation. Pure in `(sweep, trial)`.
-    fn run_trial(&self, sim: &mut Simulation, trial: u64, names: &[String]) -> TrialOutcome {
-        sim.set_seed(trial_seed(self.master_seed, trial));
-        if let Some(v) = &self.variability {
-            sim.set_variability(Some(v()));
-        }
-        match sim.run() {
-            Ok(events) => {
-                let per_output = names.iter().map(|n| OutAcc::of(events.times(n))).collect();
-                let check_ok = self.check.as_ref().is_none_or(|c| c(&events));
-                TrialOutcome::Done {
-                    per_output,
-                    check_ok,
-                }
-            }
-            Err(Error::Timing(_)) => TrialOutcome::Timing,
-            Err(_) => TrialOutcome::Other,
-        }
+        t.min(n_blocks).max(1)
     }
 
     /// Execute the sweep and aggregate the per-trial results.
     ///
-    /// Trials are split into contiguous chunks, one per worker; workers
-    /// return their chunk's outcomes, which are folded on the calling thread
-    /// in trial order. Floating-point accumulation order is therefore fixed,
-    /// making the report bit-identical at any thread count.
+    /// Trials run in blocks dealt to workers; their outcomes are folded on
+    /// the calling thread in trial order. Floating-point accumulation order
+    /// is therefore fixed, making the report bit-identical at any thread
+    /// count and batch width.
     ///
     /// # Panics
     ///
@@ -535,85 +551,13 @@ impl<'a> Sweep<'a> {
     ///
     /// Panics if the circuit builder produces an ill-formed circuit.
     pub fn try_run(&self) -> Result<SweepReport, SweepError> {
-        // Probe build: capture the observed-output name list (sorted, which
-        // matches the Events BTreeMap order) shared by every trial.
-        let probe = (self.build)();
-        probe.check().expect("sweep circuit builder must be valid");
-        let v = self.variability.as_ref().map(|f| f());
-        validate_variability(v.as_ref(), &probe)?;
-        let names = observed_names(&probe);
-        drop(probe);
-
-        let t_sweep = self.telemetry.now();
-        let threads = self.effective_threads();
-        let chunk = (self.trials as usize).div_ceil(threads.max(1)).max(1) as u64;
-        let mut records: Vec<TrialOutcome> = Vec::with_capacity(self.trials as usize);
-        std::thread::scope(|scope| {
-            let names = &names;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w as u64) * chunk;
-                    let hi = (lo + chunk).min(self.trials);
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity((hi.saturating_sub(lo)) as usize);
-                        if lo >= hi {
-                            return out;
-                        }
-                        let mut sim = Simulation::new((self.build)());
-                        sim.set_until(self.until);
-                        // Workers flush into the shared handle; their
-                        // counters are additive over trials, so the merged
-                        // totals cannot depend on the trial→worker split.
-                        let track = w as u32 + 1;
-                        sim.set_telemetry(&self.telemetry);
-                        sim.set_telemetry_track(track);
-                        let t_worker = self.telemetry.now();
-                        for trial in lo..hi {
-                            out.push(self.run_trial(&mut sim, trial, names));
-                        }
-                        if let Some(t0) = t_worker {
-                            self.telemetry
-                                .record_span("sweep.worker", track, t0, hi - lo);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                records.extend(h.join().expect("sweep worker panicked"));
-            }
-        });
-
-        // Serial, trial-ordered reduction.
-        let report = reduce(names, self.trials, &records);
-
-        if self.telemetry.is_enabled() {
-            // Sweep-level counters come from the serial reduction, so they
-            // are as deterministic as the report itself.
-            self.telemetry.add_many(&[
-                ("sweep.runs", 1),
-                ("sweep.trials", self.trials),
-                ("sweep.ok", report.ok),
-                ("sweep.check_failures", report.check_failures),
-                ("sweep.timing_violations", report.timing_violations),
-                ("sweep.other_errors", report.other_errors),
-            ]);
-            if let Some(t0) = t_sweep {
-                self.telemetry.record_span("sweep.run", 0, t0, self.trials);
-            }
-        }
-
-        Ok(report)
+        let (names, (outcomes, _)) = self.execute(false)?;
+        Ok(reduce(names, self.trials, &outcomes))
     }
 
     /// Run every trial and return its individual verdict and output pulse
-    /// times instead of the aggregate — the reference view the batch
-    /// kernel's differential tests compare against.
-    ///
-    /// Per-trial results are pure functions of `(sweep, trial)` — the
-    /// determinism property [`run`](Self::run) parallelizes over — so this
-    /// runs serially on the calling thread; thread count cannot change the
-    /// outcome, only [`run`]'s wall clock.
+    /// times instead of the aggregate — the view the differential tests
+    /// compare, trial by trial, against per-trial [`Simulation`] runs.
     ///
     /// # Panics
     ///
@@ -635,45 +579,98 @@ impl<'a> Sweep<'a> {
     ///
     /// Panics if the circuit builder produces an ill-formed circuit.
     pub fn try_run_detailed(&self) -> Result<SweepDetails, SweepError> {
+        let (names, (outcomes, outputs)) = self.execute(true)?;
+        let trials = outcomes
+            .iter()
+            .zip(outputs.expect("outputs requested"))
+            .enumerate()
+            .map(|(i, (outcome, outputs))| TrialDetail {
+                trial: i as u64,
+                verdict: outcome.verdict(),
+                outputs,
+            })
+            .collect();
+        Ok(SweepDetails { names, trials })
+    }
+
+    /// Build and validate the probe circuit, run every trial on the lane
+    /// kernel (or the hole fallback), and record the sweep's telemetry.
+    fn execute(&self, want_outputs: bool) -> Result<(Vec<String>, Outcomes), SweepError> {
+        let t_sweep = self.telemetry.now();
         let probe = (self.build)();
         probe.check().expect("sweep circuit builder must be valid");
         let v = self.variability.as_ref().map(|f| f());
         validate_variability(v.as_ref(), &probe)?;
         let names = observed_names(&probe);
-        drop(probe);
+        let has_holes = probe
+            .nodes
+            .iter()
+            .any(|n| matches!(n.kind, NodeKind::Hole(_)));
+        let out = if has_holes {
+            self.run_holes(probe, &names, want_outputs)
+        } else {
+            batch::execute(self, &probe, &names, want_outputs)
+        };
 
-        let mut sim = Simulation::new((self.build)());
-        sim.set_until(self.until);
-        let mut trials = Vec::with_capacity(self.trials as usize);
-        for trial in 0..self.trials {
-            sim.set_seed(trial_seed(self.master_seed, trial));
-            if let Some(v) = &self.variability {
-                sim.set_variability(Some(v()));
+        if self.telemetry.is_enabled() {
+            // Verdict counters come from the trial-ordered outcomes, so
+            // they are as deterministic as the report itself.
+            let count = |v| out.0.iter().filter(|o| o.verdict() == v).count() as u64;
+            self.telemetry.add_many(&[
+                ("sweep.runs", 1),
+                ("sweep.trials", self.trials),
+                ("sweep.ok", count(TrialVerdict::Ok)),
+                ("sweep.check_failures", count(TrialVerdict::CheckFailed)),
+                ("sweep.timing_violations", count(TrialVerdict::Timing)),
+                ("sweep.other_errors", count(TrialVerdict::Other)),
+            ]);
+            if let Some(t0) = t_sweep {
+                self.telemetry.record_span("sweep.run", 0, t0, self.trials);
             }
-            let (verdict, outputs) = match sim.run() {
-                Ok(events) => {
-                    let outputs: Vec<Vec<Time>> =
-                        names.iter().map(|n| events.times(n).to_vec()).collect();
-                    let ok = self.check.as_ref().is_none_or(|c| c(&events));
-                    (
-                        if ok {
-                            TrialVerdict::Ok
-                        } else {
-                            TrialVerdict::CheckFailed
-                        },
-                        outputs,
-                    )
-                }
-                Err(Error::Timing(_)) => (TrialVerdict::Timing, Vec::new()),
-                Err(_) => (TrialVerdict::Other, Vec::new()),
-            };
-            trials.push(TrialDetail {
-                trial,
-                verdict,
-                outputs,
+        }
+        Ok((names, out))
+    }
+
+    /// The hole fallback: every trial on one [`Simulation`] of the probe
+    /// circuit, serially on the calling thread (track 1).
+    fn run_holes(&self, probe: Circuit, names: &[String], want_outputs: bool) -> Outcomes {
+        let mut sim = Simulation::new(probe);
+        sim.set_until(self.until);
+        sim.set_telemetry(&self.telemetry);
+        sim.set_telemetry_track(1);
+        let t_worker = self.telemetry.now();
+        let mut outcomes = Vec::with_capacity(self.trials as usize);
+        let mut outputs = want_outputs.then(|| Vec::with_capacity(self.trials as usize));
+        for trial in 0..self.trials {
+            let events = self.simulate(&mut sim, trial);
+            if let Some(out) = &mut outputs {
+                out.push(match &events {
+                    Ok(ev) => names.iter().map(|n| ev.times(n).to_vec()).collect(),
+                    Err(_) => Vec::new(),
+                });
+            }
+            outcomes.push(match events {
+                Ok(ev) => TrialOutcome::Done {
+                    per_output: names.iter().map(|n| OutAcc::of(ev.times(n))).collect(),
+                    check_ok: self.check.as_ref().is_none_or(|c| c(&ev)),
+                },
+                Err(Error::Timing(_)) => TrialOutcome::Timing,
+                Err(_) => TrialOutcome::Other,
             });
         }
-        Ok(SweepDetails { names, trials })
+        if let Some(t0) = t_worker {
+            self.telemetry
+                .record_span("sweep.worker", 1, t0, self.trials);
+        }
+        (outcomes, outputs)
+    }
+
+    /// Run trial `trial` on `sim`: the trial's seed and a fresh variability
+    /// model from the factory.
+    fn simulate(&self, sim: &mut Simulation, trial: u64) -> Result<Events, Error> {
+        sim.set_seed(trial_seed(self.master_seed, trial));
+        sim.set_variability(self.variability.as_ref().map(|f| f()));
+        sim.run()
     }
 }
 
@@ -780,13 +777,6 @@ mod tests {
             .try_run_detailed()
             .unwrap_err();
         assert_eq!(detailed, err);
-        let build = chain_builder();
-        let batch = BatchSweep::over(&build)
-            .variability(vars)
-            .trials(4)
-            .try_run()
-            .unwrap_err();
-        assert_eq!(batch, err);
     }
 
     #[test]

@@ -1,93 +1,108 @@
-//! The structure-of-arrays batch sweep kernel: N Monte-Carlo trials
-//! advanced in dense lane blocks over one compiled circuit.
+//! The lane kernel: the one Monte-Carlo engine behind [`Sweep`] for
+//! hole-free circuits, advancing trials in dense lane blocks over one
+//! compiled circuit.
 //!
-//! The scalar [`Sweep`](super::Sweep) runs trials one at a time: every trial
-//! walks its own pulse heap, re-checks the circuit, and clones every wire's
-//! event list into a fresh [`Events`] dictionary. At the paper's margin-map
-//! scale (10⁶+ trials per request, Fig. 13 / Table 3) those per-trial costs
-//! dominate. [`BatchSweep`] removes them:
+//! A per-trial [`Simulation`](crate::sim::Simulation) loop re-checks the
+//! circuit and clones every wire's event list into a fresh [`Events`]
+//! dictionary on every trial. At the paper's margin-map scale (10⁶+ trials
+//! per request, Fig. 13 / Table 3) those per-trial costs dominate. The lane
+//! kernel removes them:
 //!
-//! - **Compile once.** The circuit is built and lowered to
-//!   [`CompiledCircuit`] tables a single time per sweep; every worker shares
-//!   the immutable [`Plan`] (tables, routing arrays, stimulus schedule,
-//!   observed-wire slots) by reference.
-//! - **Dense lanes.** A block of `W` trials ("lanes") shares one set of flat
-//!   runtime arrays laid out `[value(node, 0), value(node, 1), …]` — state,
-//!   τ_done, Θ, and per-node jitter σ are each a `[n_nodes × W]` vector
-//!   indexed `node * W + lane`, so the per-trial state a dispatch touches is
-//!   contiguous across lanes and the whole block reuses one allocation.
+//! - **Compile once.** The probe circuit is lowered to [`CompiledCircuit`]
+//!   tables a single time per sweep; every worker shares the immutable
+//!   [`Plan`] (tables, routing arrays, stimulus schedule, observed-wire
+//!   slots) by reference.
+//! - **Dense lanes.** A block of `W` trials ("lanes", `W` =
+//!   [`Sweep::batch_width`]) shares one set of flat runtime arrays laid out
+//!   `[value(node, 0), value(node, 1), …]` — state, τ_done, Θ, and per-node
+//!   jitter σ are each a `[n_nodes × W]` vector indexed `node * W + lane`,
+//!   so the per-trial state a dispatch touches is contiguous across lanes
+//!   and the whole block reuses one allocation.
 //! - **Lane-major pump with divergence.** Within a block the lanes are
-//!   advanced back to back over one reused pulse heap keyed the scalar
-//!   engine's `(time, node, seq)`: lanes never interact (every per-trial
-//!   quantity is a lane-indexed column), so running them sequentially
-//!   produces exactly the event sequence each scalar trial would, while the
-//!   heap only ever holds a single trial's in-flight pulses — merging all
-//!   lanes into one `W`×-deep heap measurably loses more to sift depth than
+//!   advanced back to back over one reused pulse heap keyed the simulator's
+//!   `(time, node, seq)`: lanes never interact (every per-trial quantity is
+//!   a lane-indexed column), so running them sequentially produces exactly
+//!   the event sequence each per-trial simulation would, while the heap
+//!   only ever holds a single trial's in-flight pulses — merging all lanes
+//!   into one `W`×-deep heap measurably loses more to sift depth than
 //!   lockstep interleaving gains. Jitter makes lanes diverge freely; a lane
 //!   that hits a timing violation is marked dead and its pump ends, while
 //!   the remaining lanes are unaffected.
 //! - **Observed-only recording.** Pulse times are recorded per observed
-//!   wire per lane; anonymous internal wires are never stored, and the
+//!   wire per lane; internal wires are counted but never stored, and the
 //!   per-trial `Events` clone is replaced by refilling one scratch
-//!   dictionary in place for the check callback.
+//!   dictionary in place for the check callback. A check that reads an
+//!   internal wire anyway (the scratch notes it) gets its verdict for that
+//!   trial from the trial's own [`Simulation`], so the check always sees
+//!   what a simulation would hand it.
 //!
 //! ## Determinism
 //!
-//! Results are **bit-identical** to the scalar engine at any thread count
-//! and any batch width. Three properties make this hold:
+//! Results are **bit-identical** to running every trial through its own
+//! [`Simulation`](crate::sim::Simulation), at any thread count and any
+//! batch width. Three properties make this hold:
 //!
-//! 1. Trial seeds are `trial_seed(master, trial)` — a pure function, exactly
-//!    as the scalar sweep derives them, regardless of which block or lane a
-//!    trial lands in.
+//! 1. Trial seeds are `trial_seed(master, trial)` — a pure function of the
+//!    trial index, regardless of which block or lane a trial lands in.
 //! 2. Each lane keeps its own RNG, Box–Muller spare, and pulse sequence
-//!    counter, and pumps its pulses in the scalar heap order `(time, node,
-//!    seq)`, so the lane's jitter stream and dispatch sequence match the
-//!    scalar trial event for event. Each batch goes through the scalar
-//!    engine's own Dispatch step (`CompiledMachine::dispatch`) and jitter
+//!    counter, and pumps its pulses in the simulator's heap order `(time,
+//!    node, seq)`, so the lane's jitter stream and dispatch sequence match
+//!    the simulation's event for event. Each batch goes through the
+//!    simulator's own Dispatch step (`CompiledMachine::dispatch`) and jitter
 //!    code, addressing the lane's strided Θ column, so there is no second
 //!    copy of the Fig. 6 rules to drift.
 //! 3. Trial outcomes are stitched back into global trial order (blocks are
 //!    dealt round-robin to workers, workers return them in deal order) and
-//!    folded by the same serial [`reduce`](super) the scalar engine uses, so
-//!    the floating-point accumulation order is fixed.
+//!    folded by the serial [`reduce`](super), so the floating-point
+//!    accumulation order is fixed.
 //!
-//! Circuits containing [`Hole`](crate::functional::Hole) nodes fall back to
-//! the scalar engine transparently: hole closures may carry arbitrary
-//! internal state, which lane-blocked re-execution would corrupt.
+//! ## Telemetry
+//!
+//! The kernel reports the simulator's counters, summed over trials, so a
+//! sweep's telemetry equals the sum of its trials' [`Simulation`] reports:
+//! `sim.runs` (one per trial), `sim.dispatches`, `sim.transitions`,
+//! `sim.pulses_pushed`, `sim.pulses_popped`, `sim.wire_pulses` (every wire,
+//! observed or not, within `until`), `sim.timing_violations` (one per dead
+//! lane, absent when none), the `sim.max_heap_depth` gauge and the
+//! per-cell tallies. Each worker accumulates them locally and flushes once,
+//! with a `sweep.worker` span on its 1-based track; every counter is
+//! additive, so the totals are identical at any thread count and width.
+//! The per-trial `sim.run` and `sim.compile` spans have no lane
+//! counterpart.
+//!
+//! [`Simulation`]: crate::sim::Simulation
 
-use crate::circuit::{Circuit, NodeKind};
+use crate::circuit::Circuit;
 use crate::compiled::{CompiledCircuit, CompiledNode, DispatchBuf};
 use crate::error::Time;
 use crate::events::Events;
-use crate::sim::{jitter, pop_batch, resolve_sigma, BoxMuller, CustomDelayFn, Pulse, Variability};
-use crate::telemetry::Telemetry;
+use crate::sim::{
+    jitter, pop_batch, resolve_sigma, BoxMuller, CustomDelayFn, Pulse, Simulation, Variability,
+};
+use crate::telemetry::{CellTally, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::{
-    observed_names, reduce, trial_seed, validate_variability, CheckFn, OutAcc, Sweep,
-    SweepDetails, SweepError, SweepReport, TrialDetail, TrialOutcome,
-};
+use super::{trial_seed, OutAcc, Outcomes, Sweep, TrialOutcome};
 
 /// Everything the workers share, compiled exactly once per sweep and then
 /// immutable: the lowered circuit, the sorted observed-output names, each
 /// wire's recording slot, and each node's start state.
-struct Plan {
+struct Plan<'n> {
     cc: CompiledCircuit,
     /// Observed wire names, sorted ascending (the recording-slot order).
-    names: Vec<String>,
+    names: &'n [String],
     /// For each wire index: its slot in `names`, or `u32::MAX` if the wire
-    /// is not observed (such pulses are routed but never recorded).
+    /// is not observed (such pulses are routed and counted, never recorded).
     obs_slot: Vec<u32>,
     /// Each node's initial machine state (0 for sources).
     starts: Vec<u32>,
 }
 
-impl Plan {
-    fn new(probe: &Circuit) -> Self {
-        let names = observed_names(probe);
+impl<'n> Plan<'n> {
+    fn new(probe: &Circuit, names: &'n [String]) -> Self {
         let cc = CompiledCircuit::compile(probe);
         let mut obs_slot = vec![u32::MAX; probe.wire_count()];
         for (idx, slot) in obs_slot.iter_mut().enumerate() {
@@ -117,31 +132,40 @@ impl Plan {
 }
 
 /// Per-worker execution counters, accumulated locally while pumping and
-/// flushed into the shared telemetry handle once per worker. Every field is
-/// additive over blocks (and blocks are a pure function of `(trials,
-/// width)`), so the merged totals are identical at any thread count.
-#[derive(Debug, Default, Clone, Copy)]
+/// flushed into the shared telemetry handle once per worker under the
+/// simulator's counter names (see the module docs). Every field is additive
+/// over trials, so the merged totals are identical at any thread count.
+#[derive(Debug, Default)]
 struct Counters {
-    blocks: u64,
+    runs: u64,
     dispatches: u64,
     transitions: u64,
     pushed: u64,
     popped: u64,
     wire: u64,
+    violations: u64,
     max_heap: usize,
+    /// Per-node tallies, folded into per-cell-type tallies on flush.
+    cells: Vec<CellTally>,
 }
 
 impl Counters {
-    fn flush(&self, tel: &Telemetry) {
+    fn flush(&self, tel: &Telemetry, cc: &CompiledCircuit) {
         tel.add_many(&[
-            ("sweep_batch.blocks", self.blocks),
-            ("sweep_batch.dispatches", self.dispatches),
-            ("sweep_batch.transitions", self.transitions),
-            ("sweep_batch.pulses_pushed", self.pushed),
-            ("sweep_batch.pulses_popped", self.popped),
-            ("sweep_batch.wire_pulses", self.wire),
+            ("sim.runs", self.runs),
+            ("sim.dispatches", self.dispatches),
+            ("sim.transitions", self.transitions),
+            ("sim.pulses_pushed", self.pushed),
+            ("sim.pulses_popped", self.popped),
+            ("sim.wire_pulses", self.wire),
         ]);
-        tel.peak("sweep_batch.max_heap_depth", self.max_heap as u64);
+        if self.violations > 0 {
+            tel.add("sim.timing_violations", self.violations);
+        }
+        tel.peak("sim.max_heap_depth", self.max_heap as u64);
+        for (node, tally) in self.cells.iter().enumerate() {
+            tel.add_cell(cc.symbols.resolve(cc.cell[node]), tally);
+        }
     }
 }
 
@@ -153,12 +177,12 @@ struct BlockOut {
     outputs: Option<Vec<Vec<Vec<Time>>>>,
 }
 
-/// One worker's reusable batch engine: the dense `[n_nodes × W]` runtime
+/// One worker's reusable lane engine: the dense `[n_nodes × W]` runtime
 /// lanes, the pulse heap reused by every lane in turn, per-lane RNG state,
 /// and the dispatch scratch buffers. Allocated once per worker, reset per
 /// block.
 struct Kernel<'p> {
-    plan: &'p Plan,
+    plan: &'p Plan<'p>,
     width: usize,
     // Dense per-(node, lane) runtime state, indexed `node * width + lane`
     // (theta by `(theta_off + input) * width + lane`).
@@ -181,11 +205,14 @@ struct Kernel<'p> {
     /// Scratch events dictionary refilled per lane for the check callback
     /// (only allocated when a check is installed).
     scratch: Option<Events>,
+    /// A full simulation of the circuit, built on first need, for trials
+    /// whose check reads wires the lanes do not record.
+    sim: Option<Simulation>,
     counters: Counters,
 }
 
 impl<'p> Kernel<'p> {
-    fn new(plan: &'p Plan, width: usize, has_check: bool) -> Self {
+    fn new(plan: &'p Plan<'p>, width: usize, has_check: bool) -> Self {
         let n_nodes = plan.cc.nodes.len();
         Kernel {
             plan,
@@ -203,8 +230,12 @@ impl<'p> Kernel<'p> {
             bms: (0..width).map(|_| BoxMuller::default()).collect(),
             dead: vec![false; width],
             customs: (0..width).map(|_| None).collect(),
-            scratch: has_check.then(|| Events::preallocated(&plan.names)),
-            counters: Counters::default(),
+            scratch: has_check.then(|| Events::preallocated(plan.names)),
+            sim: None,
+            counters: Counters {
+                cells: vec![CellTally::default(); n_nodes],
+                ..Counters::default()
+            },
         }
     }
 
@@ -213,7 +244,7 @@ impl<'p> Kernel<'p> {
     /// cannot depend on which worker runs the block or what it ran before.
     fn run_block(
         &mut self,
-        sweep: &BatchSweep,
+        sweep: &Sweep,
         first_trial: u64,
         lanes: usize,
         want_outputs: bool,
@@ -234,6 +265,7 @@ impl<'p> Kernel<'p> {
             dead,
             customs,
             scratch,
+            sim,
             counters,
         } = self;
         let plan: &Plan = plan;
@@ -257,7 +289,7 @@ impl<'p> Kernel<'p> {
         }
 
         // Per-lane trial state: the same seed derivation and σ resolution
-        // the scalar engine applies per trial.
+        // the simulator applies per run.
         for lane in 0..lanes {
             let trial = first_trial + lane as u64;
             rngs[lane] = StdRng::seed_from_u64(trial_seed(sweep.master_seed, trial));
@@ -282,7 +314,7 @@ impl<'p> Kernel<'p> {
         }
 
         if tel_on {
-            counters.blocks += 1;
+            counters.runs += lanes as u64;
         }
 
         // Advance the block lane-major: each lane pumps its own pulse heap
@@ -292,11 +324,11 @@ impl<'p> Kernel<'p> {
         // indexed by lane — so running them back to back produces exactly
         // the per-lane event sequence a fully merged lockstep heap would,
         // while the heap only ever holds one trial's in-flight pulses (the
-        // scalar engine's depth) instead of `W`× that.
+        // simulator's depth) instead of `W`× that.
         for lane in 0..lanes {
-            // Seed from the compiled stimulus schedule, in the scalar
-            // engine's seeding order, so this lane's sequence numbers match
-            // the scalar trial's exactly.
+            // Seed from the compiled stimulus schedule, in the simulator's
+            // seeding order, so this lane's sequence numbers match the
+            // simulation's exactly.
             heap.clear();
             let mut seq = 0u64;
             for sp in &cc.stim {
@@ -304,9 +336,9 @@ impl<'p> Kernel<'p> {
                     let slot = plan.obs_slot[sp.wire as usize];
                     if slot != u32::MAX {
                         obs[slot as usize * width + lane].push(sp.time);
-                        if tel_on {
-                            counters.wire += 1;
-                        }
+                    }
+                    if tel_on {
+                        counters.wire += 1;
                     }
                 }
                 if sp.sink.0 != u32::MAX {
@@ -336,11 +368,11 @@ impl<'p> Kernel<'p> {
                 }
                 buf.fired.clear();
                 let CompiledNode::Machine { cm, theta_off, .. } = cc.nodes[node] else {
-                    unreachable!("sources receive no pulses; hole circuits use the scalar fallback")
+                    unreachable!("sources receive no pulses; hole circuits never reach the kernel")
                 };
                 let si = node * width + lane;
-                // A violation kills the lane — the batch equivalent of the
-                // scalar run aborting with `Error::Timing` — and its partial
+                // A violation kills the lane — the lane equivalent of a
+                // simulation aborting with `Error::Timing` — and its partial
                 // column updates never leak: a dead lane's pump ends here and
                 // its columns are fully reset before the next block.
                 let Ok((q, td)) = cc.machines[cm as usize].dispatch(
@@ -351,12 +383,20 @@ impl<'p> Kernel<'p> {
                     buf,
                 ) else {
                     dead[lane] = true;
+                    if tel_on {
+                        counters.violations += 1;
+                    }
                     break;
                 };
                 states[si] = q;
                 tau_done[si] = td;
                 if tel_on {
-                    counters.transitions += buf.ports.len() as u64;
+                    let n = buf.ports.len() as u64;
+                    counters.transitions += n;
+                    let tc = &mut counters.cells[node];
+                    tc.dispatches += 1;
+                    tc.transitions += n;
+                    tc.fired += buf.fired.len() as u64;
                 }
                 // Firing-delay variability from this lane's own RNG stream.
                 if !var_std[si].is_nan() {
@@ -379,9 +419,9 @@ impl<'p> Kernel<'p> {
                         let slot = plan.obs_slot[wire];
                         if slot != u32::MAX {
                             obs[slot as usize * width + lane].push(t_out);
-                            if tel_on {
-                                counters.wire += 1;
-                            }
+                        }
+                        if tel_on {
+                            counters.wire += 1;
                         }
                     }
                     let (sink, sport) = cc.sink[wire];
@@ -405,7 +445,7 @@ impl<'p> Kernel<'p> {
         }
 
         // Classify every lane: sort each recorded column (jitter can push
-        // pulses out of order, exactly as in the scalar engine), run the
+        // pulses out of order, exactly as in the simulator), run the
         // check against the refilled scratch dictionary, and accumulate the
         // per-output stats.
         let mut outcomes = Vec::with_capacity(lanes);
@@ -424,7 +464,23 @@ impl<'p> Kernel<'p> {
             let check_ok = match (&sweep.check, scratch.as_mut()) {
                 (Some(check), Some(ev)) => {
                     ev.refill_named((0..n_obs).map(|slot| obs[slot * width + lane].as_slice()));
-                    check(ev)
+                    let ok = check(ev);
+                    if ev.take_unrecorded_read() {
+                        // The check read internal wires: take its verdict
+                        // on the trial's own simulation, which records
+                        // every wire (and agrees on everything else).
+                        let sim = sim.get_or_insert_with(|| {
+                            let mut s = Simulation::new((sweep.build)());
+                            s.set_until(until);
+                            s
+                        });
+                        let events = sweep
+                            .simulate(sim, first_trial + lane as u64)
+                            .expect("a lane that ran clean simulates clean");
+                        check(&events)
+                    } else {
+                        ok
+                    }
                 }
                 _ => true,
             };
@@ -447,369 +503,154 @@ impl<'p> Kernel<'p> {
     }
 }
 
-/// Private alias for the kernel-execution result triple.
-type ExecOut = (Vec<String>, Vec<TrialOutcome>, Option<Vec<Vec<Vec<Time>>>>);
-
-/// The batch Monte-Carlo sweep builder: the structure-of-arrays
-/// counterpart of [`Sweep`], bit-identical to it at any thread count and
-/// any batch width.
-///
-/// ```
-/// use rlse_core::prelude::*;
-/// use rlse_core::machine::{EdgeDef, Machine};
-/// use rlse_core::sweep::{BatchSweep, Sweep};
-///
-/// # fn main() -> Result<(), rlse_core::Error> {
-/// let jtl = Machine::new("JTL", &["a"], &["q"], 5.0, 2, &[EdgeDef {
-///     src: "idle", trigger: "a", dst: "idle", firing: "q", ..EdgeDef::default()
-/// }])?;
-/// let build = move || {
-///     let mut c = Circuit::new();
-///     let a = c.inp_at(&[10.0], "A");
-///     let q = c.add_machine(&jtl, &[a]).unwrap()[0];
-///     c.inspect(q, "Q");
-///     c
-/// };
-/// let batch = BatchSweep::over(&build)
-///     .variability(|| Variability::Gaussian { std: 0.3 })
-///     .trials(256)
-///     .master_seed(42)
-///     .run();
-/// let scalar = Sweep::over(&build)
-///     .variability(|| Variability::Gaussian { std: 0.3 })
-///     .trials(256)
-///     .master_seed(42)
-///     .run();
-/// assert_eq!(batch, scalar);
-/// # Ok(())
-/// # }
-/// ```
-pub struct BatchSweep<'a> {
-    build: Box<dyn Fn() -> Circuit + Sync + 'a>,
-    variability: Option<Box<dyn Fn() -> Variability + Sync + 'a>>,
-    check: Option<CheckFn<'a>>,
-    trials: u64,
-    master_seed: u64,
-    threads: usize,
-    batch_width: usize,
-    until: Option<Time>,
-    telemetry: Telemetry,
-}
-
-impl std::fmt::Debug for BatchSweep<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchSweep")
-            .field("trials", &self.trials)
-            .field("master_seed", &self.master_seed)
-            .field("threads", &self.threads)
-            .field("batch_width", &self.batch_width)
-            .field("until", &self.until)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> BatchSweep<'a> {
-    /// Start a batch sweep over the circuit produced by `build`. The builder
-    /// is called once for the probe build (twice on the scalar-fallback
-    /// path); it must be deterministic.
-    pub fn over(build: impl Fn() -> Circuit + Sync + 'a) -> Self {
-        BatchSweep {
-            build: Box::new(build),
-            variability: None,
-            check: None,
-            trials: 100,
-            master_seed: 0,
-            threads: 0,
-            batch_width: 16,
-            until: None,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attach a [`Telemetry`] handle: workers flush `sweep_batch.*`
-    /// execution counters (additive over blocks, so totals are bit-identical
-    /// at any thread count), and the sweep records verdict counters plus a
-    /// `sweep_batch.run` span on track 0.
-    pub fn telemetry(mut self, tel: &Telemetry) -> Self {
-        self.telemetry = tel.clone();
-        self
-    }
-
-    /// Set the number of independent trials (default 100).
-    pub fn trials(mut self, trials: u64) -> Self {
-        self.trials = trials;
-        self
-    }
-
-    /// Set the master seed from which every trial's RNG stream is derived
-    /// (default 0). The same derivation as [`Sweep::master_seed`].
-    pub fn master_seed(mut self, seed: u64) -> Self {
-        self.master_seed = seed;
-        self
-    }
-
-    /// Set the worker thread count. `0` (the default) uses the machine's
-    /// available parallelism. Affects wall-clock only, never the results.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Set the batch width `W`: how many trials (lanes) one block advances
-    /// over one shared set of dense arrays (default 16). Wider blocks
-    /// amortize block setup over more lanes but touch more state per cell;
-    /// like the thread count, the width can never change the results, only
-    /// the wall clock.
-    pub fn batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width.max(1);
-        self
-    }
-
-    /// Simulate each trial only until the given time (required for circuits
-    /// with feedback loops).
-    pub fn until(mut self, t: Time) -> Self {
-        self.until = Some(t);
-        self
-    }
-
-    /// Apply a variability model to every trial; the factory is called once
-    /// per trial, exactly as in the scalar sweep.
-    pub fn variability(mut self, factory: impl Fn() -> Variability + Sync + 'a) -> Self {
-        self.variability = Some(Box::new(factory));
-        self
-    }
-
-    /// Add a per-trial output check. The batch engine hands the callback an
-    /// events dictionary holding the **observed** wires only (the scalar
-    /// engine also carries anonymous internal wires); checks that only read
-    /// named wires — the supported contract — see identical data.
-    pub fn check(mut self, check: impl Fn(&Events) -> bool + Sync + 'a) -> Self {
-        self.check = Some(Box::new(check));
-        self
-    }
-
-    fn effective_threads(&self, n_blocks: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
-        t.min(n_blocks.max(1)).max(1)
-    }
-
-    /// The scalar-engine fallback for hole circuits, configured identically.
-    fn scalar(&self) -> Sweep<'_> {
-        let mut s = Sweep::over(&self.build)
-            .trials(self.trials)
-            .master_seed(self.master_seed)
-            .threads(self.threads)
-            .telemetry(&self.telemetry);
-        if let Some(v) = &self.variability {
-            s = s.variability(v);
-        }
-        if let Some(c) = &self.check {
-            s = s.check(move |ev| c(ev));
-        }
-        if let Some(u) = self.until {
-            s = s.until(u);
-        }
-        s
-    }
-
-    fn has_holes(probe: &Circuit) -> bool {
-        probe
-            .nodes
-            .iter()
-            .any(|n| matches!(n.kind, NodeKind::Hole(_)))
-    }
-
-    /// Compile once, deal blocks round-robin to workers, and stitch the
-    /// per-block results back into global trial order.
-    fn execute(&self, probe: &Circuit, want_outputs: bool) -> ExecOut {
-        let plan = Plan::new(probe);
-        let width = self.batch_width.max(1);
-        let n_blocks = (self.trials as usize).div_ceil(width);
-        let threads = self.effective_threads(n_blocks);
-        let tel_on = self.telemetry.is_enabled();
-        let mut per_worker: Vec<Vec<BlockOut>> = Vec::new();
-        if n_blocks > 0 {
-            std::thread::scope(|scope| {
-                let plan = &plan;
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut kernel = Kernel::new(plan, width, self.check.is_some());
-                            let t_worker = self.telemetry.now();
-                            let mut outs = Vec::new();
-                            let mut done = 0u64;
-                            // Deterministic round-robin deal: worker w gets
-                            // blocks w, w+T, w+2T, …
-                            let mut b = w;
-                            while b < n_blocks {
-                                let first_trial = (b * width) as u64;
-                                let lanes = width.min(self.trials as usize - b * width);
-                                outs.push(kernel.run_block(
-                                    self,
-                                    first_trial,
-                                    lanes,
-                                    want_outputs,
-                                    tel_on,
-                                ));
-                                done += lanes as u64;
-                                b += threads;
+/// Run every trial of `sweep` on the lane kernel: compile `probe` once,
+/// deal blocks round-robin to workers, and stitch the per-block results
+/// back into global trial order. `names` is the probe's sorted observed
+/// wire list.
+pub(super) fn execute(
+    sweep: &Sweep,
+    probe: &Circuit,
+    names: &[String],
+    want_outputs: bool,
+) -> Outcomes {
+    let plan = Plan::new(probe, names);
+    let width = sweep.batch_width;
+    let n_blocks = (sweep.trials as usize).div_ceil(width);
+    let threads = sweep.effective_threads(n_blocks);
+    let tel = &sweep.telemetry;
+    let tel_on = tel.is_enabled();
+    let mut per_worker: Vec<Vec<BlockOut>> = Vec::new();
+    if n_blocks > 0 {
+        std::thread::scope(|scope| {
+            let plan = &plan;
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut kernel = Kernel::new(plan, width, sweep.check.is_some());
+                        let t_worker = tel.now();
+                        let mut outs = Vec::new();
+                        let mut done = 0u64;
+                        // Deterministic round-robin deal: worker w gets
+                        // blocks w, w+T, w+2T, …
+                        let mut b = w;
+                        while b < n_blocks {
+                            let first_trial = (b * width) as u64;
+                            let lanes = width.min(sweep.trials as usize - b * width);
+                            outs.push(kernel.run_block(
+                                sweep,
+                                first_trial,
+                                lanes,
+                                want_outputs,
+                                tel_on,
+                            ));
+                            done += lanes as u64;
+                            b += threads;
+                        }
+                        if tel_on {
+                            kernel.counters.flush(tel, &plan.cc);
+                            if let Some(t0) = t_worker {
+                                tel.record_span("sweep.worker", w as u32 + 1, t0, done);
                             }
-                            if tel_on {
-                                kernel.counters.flush(&self.telemetry);
-                                if let Some(t0) = t_worker {
-                                    self.telemetry.record_span(
-                                        "sweep_batch.worker",
-                                        w as u32 + 1,
-                                        t0,
-                                        done,
-                                    );
-                                }
-                            }
-                            outs
-                        })
+                        }
+                        outs
                     })
-                    .collect();
-                per_worker = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch sweep worker panicked"))
-                    .collect();
-            });
-        }
-        // Stitch: global block b was worker (b mod T)'s next block, so
-        // popping each worker's deque in deal order restores trial order.
-        for outs in per_worker.iter_mut() {
-            outs.reverse();
-        }
-        let mut outcomes = Vec::with_capacity(self.trials as usize);
-        let mut outputs = want_outputs.then(|| Vec::with_capacity(self.trials as usize));
-        for b in 0..n_blocks {
-            let blk = per_worker[b % threads]
-                .pop()
-                .expect("one result per dealt block");
-            outcomes.extend(blk.outcomes);
-            if let Some(out) = &mut outputs {
-                out.extend(blk.outputs.expect("outputs requested from every block"));
-            }
-        }
-        (plan.names, outcomes, outputs)
+                })
+                .collect();
+            per_worker = handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep worker panicked"))
+                .collect();
+        });
     }
-
-    /// Execute the sweep and aggregate per-trial results into the same
-    /// [`SweepReport`] the scalar engine produces — bit-identical to
-    /// [`Sweep::run`] with the same circuit, trials, variability, check,
-    /// and master seed, at any thread count and batch width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit builder produces an ill-formed circuit or the
-    /// sweep configuration is invalid, as [`Sweep::run`] does.
-    pub fn run(&self) -> SweepReport {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    // Stitch: global block b was worker (b mod T)'s next block, so
+    // popping each worker's deque in deal order restores trial order.
+    for outs in per_worker.iter_mut() {
+        outs.reverse();
     }
-
-    /// [`run`](Self::run) with invalid sweep configuration reported as a
-    /// [`SweepError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::UnknownCellTypes`] when per-cell-type variability keys
-    /// do not match any cell type in the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit builder produces an ill-formed circuit.
-    pub fn try_run(&self) -> Result<SweepReport, SweepError> {
-        let probe = (self.build)();
-        probe.check().expect("sweep circuit builder must be valid");
-        {
-            let v = self.variability.as_ref().map(|f| f());
-            validate_variability(v.as_ref(), &probe)?;
+    let mut outcomes = Vec::with_capacity(sweep.trials as usize);
+    let mut outputs = want_outputs.then(|| Vec::with_capacity(sweep.trials as usize));
+    for b in 0..n_blocks {
+        let blk = per_worker[b % threads]
+            .pop()
+            .expect("one result per dealt block");
+        outcomes.extend(blk.outcomes);
+        if let Some(out) = &mut outputs {
+            out.extend(blk.outputs.expect("outputs requested from every block"));
         }
-        if Self::has_holes(&probe) {
-            if self.telemetry.is_enabled() {
-                self.telemetry.add("sweep_batch.fallback_scalar", 1);
-            }
-            return self.scalar().try_run();
-        }
-        let t_run = self.telemetry.now();
-        let (names, outcomes, _) = self.execute(&probe, false);
-        let report = reduce(names, self.trials, &outcomes);
-        if self.telemetry.is_enabled() {
-            self.telemetry.add_many(&[
-                ("sweep_batch.runs", 1),
-                ("sweep_batch.trials", self.trials),
-                ("sweep_batch.ok", report.ok),
-                ("sweep_batch.check_failures", report.check_failures),
-                ("sweep_batch.timing_violations", report.timing_violations),
-                ("sweep_batch.other_errors", report.other_errors),
-            ]);
-            if let Some(t0) = t_run {
-                self.telemetry
-                    .record_span("sweep_batch.run", 0, t0, self.trials);
-            }
-        }
-        Ok(report)
     }
-
-    /// Run every trial and return its individual verdict and output pulse
-    /// times — bit-identical to [`Sweep::run_detailed`] on the same inputs,
-    /// at any thread count and batch width. This is the surface the
-    /// differential test harness compares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit builder produces an ill-formed circuit or the
-    /// sweep configuration is invalid.
-    pub fn run_detailed(&self) -> SweepDetails {
-        self.try_run_detailed().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_detailed`](Self::run_detailed) with invalid sweep configuration
-    /// reported as a [`SweepError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::UnknownCellTypes`] when per-cell-type variability keys
-    /// do not match any cell type in the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit builder produces an ill-formed circuit.
-    pub fn try_run_detailed(&self) -> Result<SweepDetails, SweepError> {
-        let probe = (self.build)();
-        probe.check().expect("sweep circuit builder must be valid");
-        {
-            let v = self.variability.as_ref().map(|f| f());
-            validate_variability(v.as_ref(), &probe)?;
-        }
-        if Self::has_holes(&probe) {
-            return self.scalar().try_run_detailed();
-        }
-        let (names, outcomes, outputs) = self.execute(&probe, true);
-        let outputs = outputs.expect("outputs requested");
-        let trials = outcomes
-            .iter()
-            .zip(outputs)
-            .enumerate()
-            .map(|(i, (outcome, outs))| TrialDetail {
-                trial: i as u64,
-                verdict: outcome.verdict(),
-                outputs: outs,
-            })
-            .collect();
-        Ok(SweepDetails { names, trials })
-    }
+    (outcomes, outputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::machine::{EdgeDef, Machine};
+    use crate::sim::Simulation;
+    use crate::sweep::{reduce, SweepDetails, SweepReport, TrialDetail, TrialVerdict};
     use std::sync::Arc;
+
+    /// A trial-by-trial reference: one fresh [`Simulation`] per trial with
+    /// the trial's seed, flushing into `tel`, classified as the sweep
+    /// classifies its trials.
+    fn reference(
+        build: impl Fn() -> Circuit,
+        variability: Option<&dyn Fn() -> Variability>,
+        check: Option<&dyn Fn(&Events) -> bool>,
+        (trials, master): (u64, u64),
+        until: Option<Time>,
+        tel: &Telemetry,
+    ) -> SweepDetails {
+        let probe = build();
+        let names = crate::sweep::observed_names(&probe);
+        let trials = (0..trials)
+            .map(|trial| {
+                let mut sim = Simulation::new(build()).seed(trial_seed(master, trial));
+                sim.set_until(until);
+                sim.set_variability(variability.map(|v| v()));
+                sim.set_telemetry(tel);
+                let (verdict, outputs) = match sim.run() {
+                    Ok(ev) => (
+                        if check.is_none_or(|c| c(&ev)) {
+                            TrialVerdict::Ok
+                        } else {
+                            TrialVerdict::CheckFailed
+                        },
+                        names.iter().map(|n| ev.times(n).to_vec()).collect(),
+                    ),
+                    Err(Error::Timing(_)) => (TrialVerdict::Timing, Vec::new()),
+                    Err(_) => (TrialVerdict::Other, Vec::new()),
+                };
+                TrialDetail {
+                    trial,
+                    verdict,
+                    outputs,
+                }
+            })
+            .collect();
+        SweepDetails { names, trials }
+    }
+
+    /// The report the sweep's serial reduction makes of `details`.
+    fn report_of(details: &SweepDetails) -> SweepReport {
+        let outcomes: Vec<TrialOutcome> = details
+            .trials
+            .iter()
+            .map(|t| match t.verdict {
+                TrialVerdict::Timing => TrialOutcome::Timing,
+                TrialVerdict::Other => TrialOutcome::Other,
+                v => TrialOutcome::Done {
+                    per_output: t.outputs.iter().map(|o| OutAcc::of(o)).collect(),
+                    check_ok: v == TrialVerdict::Ok,
+                },
+            })
+            .collect();
+        reduce(
+            details.names.clone(),
+            details.trials.len() as u64,
+            &outcomes,
+        )
+    }
 
     fn jtl(delay: f64) -> Arc<Machine> {
         Machine::new(
@@ -863,77 +704,114 @@ mod tests {
         }
     }
 
+    fn gaussian(std: f64) -> impl Fn() -> Variability {
+        move || Variability::Gaussian { std }
+    }
+
     #[test]
-    fn batch_matches_scalar_across_widths_and_threads() {
+    fn lanes_match_per_trial_simulations_across_widths_and_threads() {
         let build = diamond_builder();
-        let scalar = Sweep::over(&build)
-            .variability(|| Variability::Gaussian { std: 0.4 })
-            .trials(64)
-            .master_seed(7)
-            .run();
+        let var = gaussian(0.4);
+        let want = reference(
+            &build,
+            Some(&var),
+            None,
+            (64, 7),
+            None,
+            &Telemetry::disabled(),
+        );
+        let want_report = report_of(&want);
         for width in [1, 3, 16, 64, 100] {
             for threads in [1, 4] {
-                let batch = BatchSweep::over(&build)
-                    .variability(|| Variability::Gaussian { std: 0.4 })
-                    .trials(64)
-                    .master_seed(7)
-                    .threads(threads)
-                    .batch_width(width)
-                    .run();
-                assert_eq!(batch, scalar, "width={width} threads={threads}");
+                let sweep = || {
+                    Sweep::over(&build)
+                        .variability(gaussian(0.4))
+                        .trials(64)
+                        .master_seed(7)
+                        .threads(threads)
+                        .batch_width(width)
+                };
+                assert_eq!(
+                    sweep().run_detailed(),
+                    want,
+                    "width={width} threads={threads}"
+                );
+                assert_eq!(
+                    sweep().run(),
+                    want_report,
+                    "width={width} threads={threads}"
+                );
             }
         }
     }
 
     #[test]
-    fn detailed_runs_are_bit_identical_to_scalar() {
+    fn check_and_until_match_per_trial_simulations() {
         let build = diamond_builder();
-        let scalar = Sweep::over(&build)
-            .variability(|| Variability::Gaussian { std: 0.6 })
-            .trials(33)
-            .master_seed(3)
-            .run_detailed();
-        for width in [1, 7, 64] {
-            let batch = BatchSweep::over(&build)
-                .variability(|| Variability::Gaussian { std: 0.6 })
-                .trials(33)
+        let var = gaussian(0.3);
+        let check = |ev: &Events| ev.times("L").len() == ev.times("R").len();
+        let want = reference(
+            &build,
+            Some(&var),
+            Some(&check),
+            (40, 11),
+            Some(45.0),
+            &Telemetry::disabled(),
+        );
+        let got = Sweep::over(&build)
+            .variability(gaussian(0.3))
+            .trials(40)
+            .master_seed(11)
+            .until(45.0)
+            .check(check)
+            .batch_width(7)
+            .run();
+        assert_eq!(got, report_of(&want));
+        // The until cutoff actually bit: the third stimulus pulse (t=55)
+        // never reaches the outputs.
+        assert_eq!(got.output("L").unwrap().pulses, 80);
+    }
+
+    #[test]
+    fn checks_reading_internal_wires_match_per_trial_simulations() {
+        // Lanes record observed wires only; a check that reads an internal
+        // wire (by name, or through `iter_all`) must still see what the
+        // trial's simulation records.
+        let build = diamond_builder();
+        let probe = build();
+        let internal = (0..probe.wire_count())
+            .map(|i| probe.wire_at(i))
+            .find(|&w| !probe.wire_observed(w))
+            .map(|w| probe.wire_name(w).to_string())
+            .expect("the diamond has an internal wire");
+        let var = gaussian(0.4);
+        let early = move |ev: &Events| ev.times(&internal).first().is_some_and(|&t| t < 14.3);
+        // The third splitter firing (nominally 59.3) jitters across `until`.
+        let busy = |ev: &Events| ev.iter_all().filter(|(_, t)| t.len() == 3).count() > 1;
+        let tel = Telemetry::disabled();
+        for check in [&early as &(dyn Fn(&Events) -> bool + Sync), &busy] {
+            let want = reference(&build, Some(&var), Some(check), (40, 3), Some(59.3), &tel);
+            let got = Sweep::over(&build)
+                .variability(gaussian(0.4))
+                .check(check)
+                .trials(40)
                 .master_seed(3)
-                .batch_width(width)
-                .threads(4)
+                .until(59.3)
+                .batch_width(8)
+                .threads(2)
                 .run_detailed();
-            assert_eq!(batch, scalar, "width={width}");
+            assert_eq!(got, want);
+            let passing = want.trials.iter().filter(|t| t.verdict == TrialVerdict::Ok);
+            let n = passing.count();
+            assert!((1..40).contains(&n), "mixed verdicts: {n} pass");
         }
     }
 
     #[test]
-    fn check_and_until_match_scalar() {
-        let build = diamond_builder();
-        let scalar = Sweep::over(&build)
-            .variability(|| Variability::Gaussian { std: 0.3 })
-            .trials(40)
-            .master_seed(11)
-            .until(45.0)
-            .check(|ev| ev.times("L").len() == ev.times("R").len())
-            .run();
-        let batch = BatchSweep::over(&build)
-            .variability(|| Variability::Gaussian { std: 0.3 })
-            .trials(40)
-            .master_seed(11)
-            .until(45.0)
-            .check(|ev| ev.times("L").len() == ev.times("R").len())
-            .batch_width(7)
-            .run();
-        assert_eq!(batch, scalar);
-        // The until cutoff actually bit: the third stimulus pulse (t=55)
-        // never reaches the outputs.
-        assert_eq!(batch.output("L").unwrap().pulses, 80);
-    }
-
-    #[test]
-    fn stateful_custom_variability_matches_scalar() {
+    fn stateful_custom_variability_matches_per_trial_simulations() {
         // A stateful custom model: the k-th firing of a trial gets +0.1·k.
-        // The factory builds it fresh per trial in both engines, and each
-        // lane calls its own closure in the lane's dispatch order.
+        // The factory builds it fresh per trial, and each lane calls its own
+        // closure in the lane's dispatch order.
         let build = diamond_builder();
         let factory = || {
             let mut k = 0u32;
@@ -942,23 +820,26 @@ mod tests {
                 nominal + 0.1 * k as f64
             }))
         };
-        let scalar = Sweep::over(&build)
-            .variability(factory)
-            .trials(17)
-            .master_seed(5)
-            .run_detailed();
-        let batch = BatchSweep::over(&build)
+        let want = reference(
+            &build,
+            Some(&factory),
+            None,
+            (17, 5),
+            None,
+            &Telemetry::disabled(),
+        );
+        let got = Sweep::over(&build)
             .variability(factory)
             .trials(17)
             .master_seed(5)
             .batch_width(4)
             .threads(2)
             .run_detailed();
-        assert_eq!(batch, scalar);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn mixed_per_cell_sigma_matches_scalar() {
+    fn mixed_per_cell_sigma_matches_per_trial_simulations() {
         let build = diamond_builder();
         let factory = || {
             let mut map = std::collections::HashMap::new();
@@ -966,24 +847,27 @@ mod tests {
             map.insert("S".to_string(), 0.0); // σ=0: skipped, no RNG draw
             Variability::PerCellType(map)
         };
-        let scalar = Sweep::over(&build)
-            .variability(factory)
-            .trials(24)
-            .master_seed(9)
-            .run_detailed();
-        let batch = BatchSweep::over(&build)
+        let want = reference(
+            &build,
+            Some(&factory),
+            None,
+            (24, 9),
+            None,
+            &Telemetry::disabled(),
+        );
+        let got = Sweep::over(&build)
             .variability(factory)
             .trials(24)
             .master_seed(9)
             .batch_width(5)
             .run_detailed();
-        assert_eq!(batch, scalar);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn timing_violations_kill_lanes_not_blocks() {
         // A 10 ps transition-time cell fed pulses 1 ps apart violates in
-        // every trial; batch verdicts must match the scalar engine's.
+        // every trial.
         let m = Machine::new(
             "DUT",
             &["a"],
@@ -1007,10 +891,10 @@ mod tests {
             c.inspect(q, "Q");
             c
         };
-        let scalar = Sweep::over(&build).trials(12).run();
-        let batch = BatchSweep::over(&build).trials(12).batch_width(8).run();
-        assert_eq!(batch, scalar);
-        assert_eq!(batch.timing_violations, 12);
+        let want = reference(&build, None, None, (12, 0), None, &Telemetry::disabled());
+        let got = Sweep::over(&build).trials(12).batch_width(8).run();
+        assert_eq!(got, report_of(&want));
+        assert_eq!(got.timing_violations, 12);
     }
 
     #[test]
@@ -1019,7 +903,7 @@ mod tests {
         // jittered paths arrive ~2 ps apart at a merger that needs 3 ps to
         // recover, so with heavy jitter some trials violate and some pass —
         // lanes within one block genuinely diverge, and must still match
-        // the scalar engine.
+        // the per-trial simulations.
         let m = Machine::new(
             "DUT",
             &["a", "b"],
@@ -1056,42 +940,55 @@ mod tests {
             c.inspect(r, "R");
             c
         };
-        let sigma = 2.0;
-        let scalar = Sweep::over(&build)
-            .variability(move || Variability::Gaussian { std: sigma })
-            .trials(200)
-            .master_seed(1)
-            .run();
-        let batch = BatchSweep::over(&build)
-            .variability(move || Variability::Gaussian { std: sigma })
+        let var = gaussian(2.0);
+        let ref_tel = Telemetry::new();
+        let want = reference(&build, Some(&var), None, (200, 1), None, &ref_tel);
+        let tel = Telemetry::new();
+        let got = Sweep::over(&build)
+            .variability(gaussian(2.0))
             .trials(200)
             .master_seed(1)
             .batch_width(32)
             .threads(4)
+            .telemetry(&tel)
             .run();
-        assert_eq!(batch, scalar);
+        assert_eq!(got, report_of(&want));
         // Guard against a vacuous pass: the workload must actually mix
         // verdicts for the divergence path to have been exercised.
-        assert!(batch.ok > 0, "some trials must pass");
-        assert!(batch.timing_violations > 0, "some trials must violate");
+        assert!(got.ok > 0, "some trials must pass");
+        assert!(got.timing_violations > 0, "some trials must violate");
+        // Dead lanes report exactly what the aborted simulations did.
+        let (r, w) = (tel.report(), ref_tel.report());
+        assert_eq!(
+            r.counters_with_prefix("sim."),
+            w.counters_with_prefix("sim.")
+        );
+        assert_eq!(r.counter("sim.timing_violations"), got.timing_violations);
+        assert_eq!(r.peaks, w.peaks);
+        assert_eq!(r.cells, w.cells);
     }
 
     #[test]
     fn zero_trials_yields_empty_report_without_panic() {
         let build = diamond_builder();
-        let batch = BatchSweep::over(&build).trials(0).run();
-        let scalar = Sweep::over(&build).trials(0).run();
-        assert_eq!(batch, scalar);
-        assert_eq!(batch.trials, 0);
-        assert_eq!(batch.ok, 0);
-        assert_eq!(batch.failure_rate(), 0.0);
-        assert_eq!(batch.output("L").unwrap().pulses, 0);
+        let tel = Telemetry::new();
+        let report = Sweep::over(&build).trials(0).telemetry(&tel).run();
+        assert_eq!(report.trials, 0);
+        assert_eq!(report.ok, 0);
+        assert_eq!(report.failure_rate(), 0.0);
+        assert_eq!(report.output("L").unwrap().pulses, 0);
+        // No trial ran, so no simulator counter exists.
+        assert!(tel.report().counters_with_prefix("sim.").is_empty());
         // The detailed view is empty too.
-        assert!(BatchSweep::over(&build).trials(0).run_detailed().trials.is_empty());
+        assert!(Sweep::over(&build)
+            .trials(0)
+            .run_detailed()
+            .trials
+            .is_empty());
     }
 
     #[test]
-    fn hole_circuits_fall_back_to_scalar() {
+    fn hole_circuits_run_on_one_simulation() {
         use crate::functional::Hole;
         let build = || {
             let mut c = Circuit::new();
@@ -1103,21 +1000,24 @@ mod tests {
             c.inspect(q, "Q");
             c
         };
+        let ref_tel = Telemetry::new();
+        let want = reference(build, None, None, (6, 0), None, &ref_tel);
         let tel = Telemetry::new();
-        let batch = BatchSweep::over(build).trials(6).telemetry(&tel).run();
-        let scalar = Sweep::over(build).trials(6).run();
-        assert_eq!(batch, scalar);
-        assert_eq!(tel.report().counter("sweep_batch.fallback_scalar"), 1);
-        // The scalar engine did the work.
+        let sweep = Sweep::over(build).trials(6).threads(4).telemetry(&tel);
+        assert_eq!(sweep.run(), report_of(&want));
+        assert_eq!(
+            tel.report().counters_with_prefix("sim."),
+            ref_tel.report().counters_with_prefix("sim.")
+        );
         assert_eq!(tel.report().counter("sweep.runs"), 1);
     }
 
     #[test]
-    fn telemetry_counters_identical_across_threads_and_widths() {
+    fn telemetry_is_identical_across_threads_and_widths() {
         let run = |threads, width| {
             let tel = Telemetry::new();
-            BatchSweep::over(diamond_builder())
-                .variability(|| Variability::Gaussian { std: 0.4 })
+            Sweep::over(diamond_builder())
+                .variability(gaussian(0.4))
                 .trials(64)
                 .master_seed(7)
                 .threads(threads)
@@ -1127,26 +1027,34 @@ mod tests {
             tel.report()
         };
         let serial = run(1, 16);
-        let parallel = run(8, 16);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.counter("sweep_batch.trials"), 64);
-        assert_eq!(serial.counter("sweep_batch.ok"), 64);
-        assert_eq!(serial.counter("sweep_batch.blocks"), 4);
-        assert!(serial.counter("sweep_batch.dispatches") > 0);
-        // Different widths change block structure (and so the block
-        // counters) but never the verdict counters.
-        let wide = run(4, 64);
-        assert_eq!(wide.counter("sweep_batch.blocks"), 1);
-        assert_eq!(wide.counter("sweep_batch.ok"), 64);
+        assert_eq!(serial.counter("sweep.trials"), 64);
+        assert_eq!(serial.counter("sweep.ok"), 64);
+        assert_eq!(serial.counter("sim.runs"), 64);
+        assert!(serial.counter("sim.dispatches") > 0);
+        for (threads, width) in [(8, 16), (4, 64), (2, 5)] {
+            assert_eq!(
+                run(threads, width),
+                serial,
+                "threads={threads} width={width}"
+            );
+        }
+        // And the lane counters equal the sum of 64 simulations' counters,
+        // internal wires included in `sim.wire_pulses`.
+        let ref_tel = Telemetry::new();
+        let var = gaussian(0.4);
+        reference(diamond_builder(), Some(&var), None, (64, 7), None, &ref_tel);
+        let want = ref_tel.report();
         assert_eq!(
-            wide.counter("sweep_batch.dispatches"),
-            serial.counter("sweep_batch.dispatches")
+            serial.counters_with_prefix("sim."),
+            want.counters_with_prefix("sim.")
         );
+        assert_eq!(serial.peaks, want.peaks);
+        assert_eq!(serial.cells, want.cells);
     }
 
     #[test]
-    fn nominal_batch_is_exact() {
-        let report = BatchSweep::over(diamond_builder()).trials(16).run();
+    fn nominal_sweep_is_exact() {
+        let report = Sweep::over(diamond_builder()).trials(16).run();
         assert_eq!(report.ok, 16);
         let l = report.output("L").unwrap();
         assert_eq!(l.pulses, 48); // 3 pulses × 16 trials

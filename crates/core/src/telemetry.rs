@@ -694,8 +694,8 @@ impl TelemetryReport {
 
     /// All counters whose name starts with `prefix`, in sorted-name order —
     /// the view one subsystem's counters present (e.g.
-    /// `counters_with_prefix("sweep_batch.")` for the batch kernel's
-    /// per-block execution counters). Deterministic for equal reports.
+    /// `counters_with_prefix("sim.")` for the simulator's execution
+    /// counters). Deterministic for equal reports.
     pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
         self.counters
             .iter()
@@ -817,16 +817,13 @@ mod tests {
     #[test]
     fn counters_with_prefix_selects_one_subsystem() {
         let tel = Telemetry::new();
-        tel.add("sweep_batch.blocks", 4);
-        tel.add("sweep_batch.dispatches", 100);
-        tel.add("sweep.trials", 64);
         tel.add("sim.runs", 64);
+        tel.add("sim.dispatches", 100);
+        tel.add("sweep.trials", 64);
+        tel.add("sweep.ok", 60);
         let r = tel.report();
-        let batch = r.counters_with_prefix("sweep_batch.");
-        assert_eq!(
-            batch,
-            vec![("sweep_batch.blocks", 4), ("sweep_batch.dispatches", 100)]
-        );
+        let sim = r.counters_with_prefix("sim.");
+        assert_eq!(sim, vec![("sim.dispatches", 100), ("sim.runs", 64)]);
         assert!(r.counters_with_prefix("analog.").is_empty());
     }
 

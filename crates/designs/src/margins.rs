@@ -13,7 +13,7 @@
 //! one axis, a per-design **time-scale factor** on the other (how much the
 //! stimulus timing is stretched relative to a nominal schedule — larger is
 //! looser, so passes accumulate on the large-scale side). Each cell is one
-//! deterministic [`BatchSweep`] run; the adaptive mapper bisects the
+//! deterministic [`Sweep`] run; the adaptive mapper bisects the
 //! pass–fail boundary per row ([`find_first_pass`]) so a W-cell row costs
 //! O(log W) sweeps instead of W, with an exhaustive-scan fallback for
 //! distrusted oracles.
@@ -28,7 +28,7 @@ use crate::xsfq_adder::{full_adder_xsfq, DualRail};
 use rlse_core::circuit::Circuit;
 use rlse_core::events::Events;
 use rlse_core::sim::Variability;
-use rlse_core::sweep::{trial_seed, BatchSweep, Sweep, SweepReport};
+use rlse_core::sweep::{trial_seed, Sweep, SweepReport};
 
 /// One row of a margin analysis: the jitter σ applied and the sweep result.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,7 +252,8 @@ pub struct ShmooOptions {
     pub master_seed: u64,
     /// Sweep worker threads, 0 = available parallelism (default 0).
     pub threads: usize,
-    /// Batch width (lanes per block) for the batch kernel (default 16).
+    /// Batch width (lanes per block) for the sweep's lane kernel (default
+    /// 16).
     pub batch_width: usize,
     /// A cell passes when its sweep failure rate is `<= tolerance`
     /// (default 0.05).
@@ -538,7 +539,7 @@ fn check_bitonic_32(ev: &Events) -> bool {
 
 /// Sweep a design across the (σ, time-scale) grid and classify every cell.
 ///
-/// Each evaluated cell runs one deterministic [`BatchSweep`] of
+/// Each evaluated cell runs one deterministic [`Sweep`] of
 /// `opts.trials` trials; its master seed is a pure function of the map's
 /// seed and the cell's grid index, so the verdict of a cell does not
 /// depend on evaluation order, adaptivity, thread count, or batch width —
@@ -563,7 +564,7 @@ pub fn shmoo_map(design: &str, sigmas: &[f64], scales: &[f64], opts: &ShmooOptio
         let eval = |col: usize| {
             let scale = scales[col];
             let seed = trial_seed(opts.master_seed, (row * n_cols + col) as u64);
-            let report = BatchSweep::over(move || build(scale))
+            let report = Sweep::over(move || build(scale))
                 .variability(move || Variability::Gaussian { std: sigma })
                 .check(check)
                 .trials(opts.trials)

@@ -344,8 +344,26 @@ impl VarSpec {
     }
 }
 
+/// The largest accepted jitter σ in ps — three orders of magnitude past
+/// any delay in the cell library, so no physical study is refused.
+const MAX_SIGMA: f64 = 1e6;
+
+/// A jitter σ must lie in `[0, MAX_SIGMA]` ps: a negative σ would silently
+/// act as its absolute value, and a non-finite or huge one drives every
+/// pulse time out of range (and the statistics to `null`).
+fn check_sigma(sigma: f64, what: &str) -> Result<f64, RequestError> {
+    if (0.0..=MAX_SIGMA).contains(&sigma) {
+        Ok(sigma)
+    } else {
+        Err(RequestError(format!(
+            "{what} must lie in [0, {MAX_SIGMA}] ps, got {sigma:?}"
+        )))
+    }
+}
+
 /// The `"variability"` field of a request: `{"kind":"gaussian","std":S}` or
-/// `{"kind":"per_cell_type","sigmas":{"JTL":S,…}}`.
+/// `{"kind":"per_cell_type","sigmas":{"JTL":S,…}}`, every σ checked by
+/// [`check_sigma`].
 fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
     let kind = v
         .get("kind")
@@ -357,7 +375,7 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                 .get("std")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| RequestError("gaussian variability needs 'std'".into()))?;
-            Ok(VarSpec::Gaussian(std))
+            Ok(VarSpec::Gaussian(check_sigma(std, "gaussian 'std'")?))
         }
         "per_cell_type" => {
             let sigmas = v
@@ -369,7 +387,10 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                 let sigma = sigma.as_f64().ok_or_else(|| {
                     RequestError(format!("sigma for '{cell}' is not a number"))
                 })?;
-                map.insert(cell.clone(), sigma);
+                map.insert(
+                    cell.clone(),
+                    check_sigma(sigma, &format!("sigma for '{cell}'"))?,
+                );
             }
             Ok(VarSpec::PerCellType(map))
         }
@@ -1012,12 +1033,44 @@ mod tests {
             assert!(r.contains("\"ok\":true"), "{design}: {r}");
         }
 
-        // The server still answers well-formed requests afterwards.
+        // A negative or huge jitter σ ran the sweep anyway:
+        // σ = −1 answered ok:true with jittered output, σ = 1e308 answered
+        // "mean":null with pulse times near 1e305 ps.
         let ir = rlse_designs::design_ir("min_max", 1.0);
-        let good = format!(
-            "{{\"kind\":\"simulate\",\"ir\":{}}}",
-            ir.to_value().to_compact()
-        );
+        let ir_json = ir.to_value().to_compact();
+        for (variability, error) in [
+            (
+                "{\"kind\":\"gaussian\",\"std\":-1}",
+                "gaussian 'std' must lie in [0, 1000000] ps, got -1.0",
+            ),
+            (
+                "{\"kind\":\"gaussian\",\"std\":1e308}",
+                "gaussian 'std' must lie in [0, 1000000] ps, got 1e308",
+            ),
+            // Non-finite numbers never get past the JSON parser.
+            (
+                "{\"kind\":\"gaussian\",\"std\":1e999}",
+                "invalid number '1e999'",
+            ),
+            (
+                "{\"kind\":\"per_cell_type\",\"sigmas\":{\"C\":0.2,\"JTL\":-0.5}}",
+                "sigma for 'JTL' must lie in [0, 1000000] ps, got -0.5",
+            ),
+            (
+                "{\"kind\":\"per_cell_type\",\"sigmas\":{\"C\":1e308}}",
+                "sigma for 'C' must lie in [0, 1000000] ps, got 1e308",
+            ),
+        ] {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"sweep\",\"trials\":4,\"variability\":{variability},\
+                 \"ir\":{ir_json}}}"
+            ));
+            assert!(r.contains("\"ok\":false"), "{variability}: {r}");
+            assert!(r.contains(error), "{variability}: {r}");
+        }
+
+        // The server still answers well-formed requests afterwards.
+        let good = format!("{{\"kind\":\"simulate\",\"ir\":{ir_json}}}");
         assert!(server.handle_line(&good).contains("\"ok\":true"));
     }
 

@@ -60,3 +60,19 @@ fn fixture_file_matches_the_emitter() {
         "regenerate with: cargo run -p rlse-serve -- --emit-fixture > crates/serve/fixtures/requests.jsonl"
     );
 }
+
+/// The fixture corpus's response bytes are pinned: a served-output change
+/// (an engine swap, a counter rename) must show up here, not only as a
+/// mismatch between two runs of the same code.
+#[test]
+fn fixture_responses_match_the_golden() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let out = Command::new(env!("CARGO_BIN_EXE_rlse-serve"))
+        .args(["--input", &format!("{dir}/fixtures/requests.jsonl")])
+        .output()
+        .expect("spawn rlse-serve");
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let golden = std::fs::read_to_string(format!("{dir}/tests/golden/fixture_responses.jsonl"))
+        .expect("golden fixture responses");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), golden);
+}

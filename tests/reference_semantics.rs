@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use rlse::core::circuit::NodeId;
 use rlse::core::machine::{Config, InputId, Machine};
-use rlse::core::sweep::{BatchSweep, TrialVerdict};
+use rlse::core::sweep::{trial_seed, Sweep, TrialVerdict};
+use rlse::core::telemetry::Telemetry;
 use rlse::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -204,16 +205,19 @@ fn assert_equivalent(circ_a: Circuit, circ_b: Circuit) {
     }
 }
 
-/// The batch sweep kernel agrees with the reference on every trial: with
+/// The sweep's lane kernel agrees with the reference on every trial: with
 /// no variability each trial replays the nominal run, or ends in a
 /// `Timing` verdict where the reference reports a violation. Three trials
 /// at width 2 run lanes 0 and 1 of a block — the shared dispatch step
-/// addressing Θ at stride 2 — and lane 0 of a partial block.
-fn assert_batch_matches_reference(build: impl Fn() -> Circuit + Sync) {
+/// addressing Θ at stride 2 — and lane 0 of a partial block. The sweep's
+/// `sim.*` counters equal the sum of three `Simulation` runs' counters.
+fn assert_sweep_matches_reference(build: impl Fn() -> Circuit + Sync) {
     let reference = reference_run(&build());
-    let details = BatchSweep::over(&build)
+    let tel = Telemetry::new();
+    let details = Sweep::over(&build)
         .trials(3)
         .batch_width(2)
+        .telemetry(&tel)
         .run_detailed();
     assert_eq!(details.trials.len(), 3);
     for trial in &details.trials {
@@ -227,18 +231,32 @@ fn assert_batch_matches_reference(build: impl Fn() -> Circuit + Sync) {
             assert_eq!(
                 got.len(),
                 want.len(),
-                "trial {}: pulse count differs on '{name}': ref {want:?} vs batch {got:?}",
+                "trial {}: pulse count differs on '{name}': ref {want:?} vs sweep {got:?}",
                 trial.trial
             );
             for (a, b) in want.iter().zip(got) {
                 assert!(
                     (a - b).abs() < 1e-9,
-                    "trial {}: '{name}': ref {a} vs batch {b}",
+                    "trial {}: '{name}': ref {a} vs sweep {b}",
                     trial.trial
                 );
             }
         }
     }
+    let sim_tel = Telemetry::new();
+    for trial in 0..3 {
+        let _ = Simulation::new(build())
+            .seed(trial_seed(0, trial))
+            .telemetry(&sim_tel)
+            .run();
+    }
+    let (got, want) = (tel.report(), sim_tel.report());
+    assert_eq!(
+        got.counters_with_prefix("sim."),
+        want.counters_with_prefix("sim.")
+    );
+    assert_eq!(got.peaks, want.peaks);
+    assert_eq!(got.cells, want.cells);
 }
 
 #[test]
@@ -278,7 +296,7 @@ fn reference_matches_simulator_on_violating_circuit() {
         c
     };
     assert_equivalent(build(), build());
-    assert_batch_matches_reference(build);
+    assert_sweep_matches_reference(build);
     // And confirm both actually error (not both silently succeed).
     assert!(reference_run(&build()).is_err());
 }
@@ -286,7 +304,7 @@ fn reference_matches_simulator_on_violating_circuit() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The production simulator, the batch sweep kernel and the Fig. 6
+    /// The production simulator, the sweep's lane kernel and the Fig. 6
     /// reference interpreter agree on random feed-forward circuits.
     #[test]
     fn reference_matches_simulator_on_random_circuits(
@@ -296,6 +314,6 @@ proptest! {
         let a = random_circuit(&picks, n_in);
         let b = random_circuit(&picks, n_in);
         assert_equivalent(a, b);
-        assert_batch_matches_reference(|| random_circuit(&picks, n_in));
+        assert_sweep_matches_reference(|| random_circuit(&picks, n_in));
     }
 }
