@@ -40,8 +40,8 @@
 
 use rlse_analog::synth::from_circuit;
 use rlse_bench::{
-    bench_adder_sync, bench_bitonic, bench_c, bench_c_inv, bench_min_max, expected_outputs,
-    simulate, Bench,
+    bench_adder_sync, bench_bitonic, bench_c, bench_c_inv, bench_min_max, bench_race_tree,
+    expected_outputs, simulate, Bench,
 };
 use rlse_core::prelude::*;
 use rlse_core::sweep::{trial_seed, Sweep};
@@ -576,17 +576,21 @@ fn main() {
 
     // Design-level model checking: Table-3-style compositions, both queries.
     // Explored-state, peak-store, and subsumption counts come from the
-    // telemetry flush of one instrumented Query-2 pass per design.
+    // telemetry flush of one instrumented Query-2 pass per design; the
+    // largest zone's clock count (not a telemetry counter) from its result.
     struct McRow {
         name: &'static str,
         q1_ns: f64,
         q2_ns: f64,
         report: TelemetryReport,
+        max_zone_clocks: usize,
     }
     let mc_rows: Vec<McRow> = [
         ("min_max", bench_min_max()),
+        ("race_tree", bench_race_tree()),
         ("adder_sync", bench_adder_sync()),
         ("bitonic_4", bench_bitonic(4)),
+        ("bitonic_8", bench_bitonic(8)),
     ]
     .into_iter()
     .map(|(name, bench)| {
@@ -617,6 +621,7 @@ fn main() {
             q1_ns,
             q2_ns,
             report,
+            max_zone_clocks: q2.stats.max_zone_clocks,
         }
     })
     .collect();
@@ -731,7 +736,8 @@ fn main() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"query1_median_ns\": {:.0}, \
              \"query2_median_ns\": {:.0}, \"states\": {}, \"peak_store\": {}, \
-             \"candidates\": {}, \"subsumed\": {}, \"evicted\": {}}}{}\n",
+             \"candidates\": {}, \"subsumed\": {}, \"evicted\": {}, \
+             \"max_zone_clocks\": {}}}{}\n",
             r.name,
             r.q1_ns,
             r.q2_ns,
@@ -740,6 +746,7 @@ fn main() {
             r.report.counter("mc.candidates"),
             r.report.counter("mc.subsumed"),
             r.report.counter("mc.evicted"),
+            r.max_zone_clocks,
             if i + 1 == mc_rows.len() { "" } else { "," }
         ));
     }

@@ -750,7 +750,10 @@ impl Server {
                 .and_then(|v| v.filter(|v| !v.is_empty()))
                 .ok_or_else(|| RequestError(format!("shmoo needs a non-empty '{key}' array")))
         };
-        let sigmas = axis("sigmas")?;
+        let sigmas = axis("sigmas")?
+            .into_iter()
+            .map(|sigma| check_sigma(sigma, "shmoo 'sigmas' entries"))
+            .collect::<Result<Vec<_>, _>>()?;
         let scales = axis("scales")?;
         // A negative, non-finite or overflowing scale would give the bench
         // a stimulus time the circuit builder rejects with a panic.
@@ -1067,6 +1070,26 @@ mod tests {
             ));
             assert!(r.contains("\"ok\":false"), "{variability}: {r}");
             assert!(r.contains(error), "{variability}: {r}");
+        }
+        // The shmoo σ axis gets the same range check: σ = −1 answered
+        // ok:true with map ["P"], σ = 1e308 answered ["F"] with
+        // margin_scales [null].
+        for (sigmas, error) in [
+            (
+                "[-1]",
+                "shmoo 'sigmas' entries must lie in [0, 1000000] ps, got -1.0",
+            ),
+            (
+                "[1e308]",
+                "shmoo 'sigmas' entries must lie in [0, 1000000] ps, got 1e308",
+            ),
+        ] {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":{sigmas},\
+                 \"scales\":[1.0],\"trials\":1}}"
+            ));
+            assert!(r.contains("\"ok\":false"), "{sigmas}: {r}");
+            assert!(r.contains(error), "{sigmas}: {r}");
         }
 
         // The server still answers well-formed requests afterwards.

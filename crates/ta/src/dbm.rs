@@ -2,11 +2,20 @@
 //! by timed-automata model checkers such as UPPAAL.
 //!
 //! A zone over clocks `x_1..x_n` is a conjunction of constraints
-//! `x_i - x_j ≺ m` with `≺ ∈ {<, ≤}`, stored as an `(n+1)²` matrix with the
-//! reference "clock" `x_0 = 0` at index 0. Bounds are encoded in a single
-//! `i32`: `2m + 1` for `≤ m`, `2m` for `< m`, and [`INF`] for unbounded —
-//! the encoding makes "tighter" coincide with smaller integers and lets
-//! bound addition be two shifts and a mask.
+//! `x_i - x_j ≺ m` with `≺ ∈ {<, ≤}`, with the reference "clock" `x_0 = 0`.
+//! Bounds are encoded in a single `i32`: `2m + 1` for `≤ m`, `2m` for
+//! `< m`, and [`INF`] for unbounded — the encoding makes "tighter" coincide
+//! with smaller integers and lets bound addition be two shifts and a mask.
+//!
+//! A [`Dbm`] stores only the clocks it *tracks*: a `(tracked + 1)²` matrix
+//! next to the sorted list of tracked clock indices. Every other clock is
+//! free (`x_c ≥ 0`, otherwise unconstrained). The model checker frees each
+//! clock no automaton can read again (active-clock reduction), so a zone's
+//! size follows the handful of live clocks, not the network's clock count:
+//! cloning, inclusion and extrapolation are O(tracked²) and the closure is
+//! O(tracked³). This is the "free a clock by dropping its dimension"
+//! reading of Bengtsson & Yi, *Timed Automata: Semantics, Algorithms and
+//! Tools* (2004).
 
 use std::fmt;
 
@@ -17,7 +26,7 @@ pub const INF: i32 = i32::MAX;
 /// safely.
 ///
 /// Bounds are stored as `2m + 1` (for `≤ m`) or `2m` (for `< m`), and both
-/// [`Dbm::constrain`] and [`Dbm::canonicalize`] sum chains of up to three
+/// [`Dbm::constrain_clock`] and [`Dbm::canonicalize`] sum chains of up to three
 /// encoded bounds before comparing. Canonical entries are themselves bounded
 /// by the model's constants only *after* extrapolation, so intermediate sums
 /// can reach a few multiples of the largest constant. `1 << 26` keeps even a
@@ -52,57 +61,117 @@ fn add_bounds(a: i32, b: i32) -> i32 {
     }
 }
 
-/// A difference bound matrix over `n` real clocks (plus the reference).
+/// A difference bound matrix over the clocks a zone still tracks.
+///
+/// Clock indices in the public API are full network indices (1-based, with
+/// the reference at 0). Internally the matrix has one slot per *tracked*
+/// clock: slot 0 is the reference and slot `k + 1` holds `tracked[k]`. A
+/// clock that is not tracked is **free** — `x_c ≥ 0` and otherwise
+/// unconstrained — and [`Dbm::bound`] reads it as a full matrix would hold
+/// it: row `c` is `INF` (`LE_ZERO` on the diagonal) and column `c` equals
+/// column 0. Such a row is never an intermediate of a shortest path and
+/// such a column only mirrors column 0, so leaving both out changes no
+/// other entry; every operation runs over the tracked slots only.
 ///
 /// All public constructors and operators keep the matrix canonical (all
 /// pairwise constraints as tight as the represented zone allows), so
 /// inclusion and emptiness tests are single passes.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Dbm {
-    dim: usize,
-    /// Row-major `(dim)²` matrix; entry `(i, j)` bounds `x_i - x_j`.
-    m: Box<[i32]>,
+    /// Tracked clocks (full indices, ascending).
+    tracked: Vec<usize>,
+    /// Row-major `(tracked + 1)²` matrix over slots; entry `(i, j)` bounds
+    /// `x_i - x_j`.
+    m: Vec<i32>,
 }
 
 impl Dbm {
-    /// The zone where every clock equals 0, over `clocks` real clocks.
+    /// The zone where every clock `1..=clocks` equals 0.
     pub fn zero(clocks: usize) -> Self {
-        let dim = clocks + 1;
+        Self::zero_over(1..=clocks)
+    }
+
+    /// The zone where every listed clock equals 0 and every other clock is
+    /// free.
+    pub fn zero_over(clocks: impl IntoIterator<Item = usize>) -> Self {
+        let mut tracked: Vec<usize> = clocks.into_iter().collect();
+        tracked.sort_unstable();
+        tracked.dedup();
+        debug_assert!(tracked.first() != Some(&0), "clock 0 is the reference");
+        let dim = tracked.len() + 1;
         Dbm {
-            dim,
-            m: vec![LE_ZERO; dim * dim].into_boxed_slice(),
+            tracked,
+            m: vec![LE_ZERO; dim * dim],
         }
     }
 
-    /// The unconstrained zone (all clock valuations with `x_i ≥ 0`).
-    pub fn universe(clocks: usize) -> Self {
-        let dim = clocks + 1;
-        let mut m = vec![INF; dim * dim].into_boxed_slice();
-        for i in 0..dim {
-            m[i * dim + i] = LE_ZERO;
-            m[i] = LE_ZERO; // row 0: 0 - x_j ≤ 0
-        }
-        Dbm { dim, m }
-    }
-
-    /// Number of real clocks (dimension minus the reference).
+    /// Number of clocks the zone tracks (the matrix dimension minus the
+    /// reference).
     pub fn clocks(&self) -> usize {
-        self.dim - 1
+        self.tracked.len()
+    }
+
+    #[inline]
+    fn dim(&self) -> usize {
+        self.tracked.len() + 1
+    }
+
+    /// The matrix slot of clock `c`, if tracked (the reference is slot 0).
+    #[inline]
+    fn slot(&self, c: usize) -> Option<usize> {
+        if c == 0 {
+            return Some(0);
+        }
+        self.tracked.binary_search(&c).ok().map(|k| k + 1)
+    }
+
+    /// The slot of real clock `c`, inserting it as a free clock if
+    /// untracked.
+    fn slot_or_insert(&mut self, c: usize) -> usize {
+        debug_assert!(c >= 1);
+        let k = match self.tracked.binary_search(&c) {
+            Ok(k) => return k + 1,
+            Err(k) => k,
+        };
+        let (old, s) = (self.dim(), k + 1);
+        let dim = old + 1;
+        let mut m = Vec::with_capacity(dim * dim);
+        for i in 0..dim {
+            let oi = i - usize::from(i > s);
+            for j in 0..dim {
+                m.push(match (i == s, j == s) {
+                    (true, true) => LE_ZERO,
+                    (true, false) => INF,
+                    // Column s mirrors column 0: x_i - x_c ≤ x_i - 0.
+                    (false, true) => self.m[oi * old],
+                    (false, false) => self.m[oi * old + j - usize::from(j > s)],
+                });
+            }
+        }
+        self.tracked.insert(k, c);
+        self.m = m;
+        s
     }
 
     #[inline]
     fn at(&self, i: usize, j: usize) -> i32 {
-        self.m[i * self.dim + j]
+        self.m[i * self.dim() + j]
     }
 
     #[inline]
     fn set(&mut self, i: usize, j: usize, v: i32) {
-        self.m[i * self.dim + j] = v;
+        let dim = self.dim();
+        self.m[i * dim + j] = v;
     }
 
     /// The encoded bound on `x_i - x_j` (indices include the reference 0).
     pub fn bound(&self, i: usize, j: usize) -> i32 {
-        self.at(i, j)
+        match (self.slot(i), self.slot(j)) {
+            (Some(a), Some(b)) => self.at(a, b),
+            (Some(a), None) => self.at(a, 0),
+            (None, _) if i == j => LE_ZERO,
+            (None, _) => INF,
+        }
     }
 
     /// True if the zone contains no valuation.
@@ -112,23 +181,24 @@ impl Dbm {
 
     /// Let time elapse: remove all upper bounds (the classic `up` operator).
     pub fn up(&mut self) {
-        for i in 1..self.dim {
+        for i in 1..self.dim() {
             self.set(i, 0, INF);
         }
     }
 
-    /// Intersect with `x_i - x_j ≺ bound` (encoded). Returns `false` (and
-    /// leaves the zone empty) if the result is empty. Maintains canonicity
-    /// incrementally in O(dim²).
-    pub fn constrain(&mut self, i: usize, j: usize, bound: i32) -> bool {
+    /// Intersect with `x_i - x_j ≺ bound` (encoded; `i`, `j` are slots).
+    /// Returns `false` (and leaves the zone empty) if the result is empty.
+    /// Maintains canonicity incrementally in O(tracked²).
+    fn constrain(&mut self, i: usize, j: usize, bound: i32) -> bool {
         if add_bounds(self.at(j, i), bound) < LE_ZERO {
             self.set(0, 0, lt(0)); // mark empty
             return false;
         }
         if bound < self.at(i, j) {
             self.set(i, j, bound);
-            for a in 0..self.dim {
-                for b in 0..self.dim {
+            let dim = self.dim();
+            for a in 0..dim {
+                for b in 0..dim {
                     let via_ij = add_bounds(add_bounds(self.at(a, i), bound), self.at(j, b));
                     if via_ij < self.at(a, b) {
                         self.set(a, b, via_ij);
@@ -142,7 +212,8 @@ impl Dbm {
     /// Intersect with `x_c ≤ v` / `< v` / `≥ v` / `> v` / `== v` using the
     /// [`Rel`] relation. `c` is a real clock index (1-based).
     pub fn constrain_clock(&mut self, c: usize, rel: Rel, v: i32) -> bool {
-        debug_assert!(c >= 1 && c < self.dim);
+        debug_assert!(c >= 1);
+        let c = self.slot_or_insert(c);
         match rel {
             Rel::Le => self.constrain(c, 0, le(v)),
             Rel::Lt => self.constrain(c, 0, lt(v)),
@@ -152,10 +223,11 @@ impl Dbm {
         }
     }
 
-    /// Reset clock `c` to 0.
+    /// Reset clock `c` to 0 (tracking it if it was free).
     pub fn reset(&mut self, c: usize) {
-        debug_assert!(c >= 1 && c < self.dim);
-        for j in 0..self.dim {
+        debug_assert!(c >= 1);
+        let c = self.slot_or_insert(c);
+        for j in 0..self.dim() {
             let v = self.at(0, j);
             self.set(c, j, v);
             let v = self.at(j, 0);
@@ -163,85 +235,106 @@ impl Dbm {
         }
         self.set(c, 0, LE_ZERO);
         self.set(0, c, LE_ZERO);
-        // Wait: (c,0) must copy (0,0)=LE_ZERO and (0,c) likewise; the loop
-        // above already wrote them via j = 0, but keep them exact.
     }
 
     /// Forget everything about clock `c` except `c ≥ 0` (UPPAAL's *free*
-    /// operation): the zone becomes the cylinder over the other clocks.
+    /// operation): the zone becomes the cylinder over the other clocks, and
+    /// `c`'s row and column are dropped from the matrix.
     ///
     /// Used for active-clock reduction — when no automaton can read `c`
     /// again before resetting it, its value is dead and freeing it merges
-    /// states that differ only in `c`. Preserves canonical form: row `c`
-    /// becomes `INF`, and the tightest bound on `x_j - x_c` with `x_c`
-    /// unconstrained above and `≥ 0` is the bound on `x_j - 0`.
+    /// states that differ only in `c`. Preserves canonical form: every
+    /// remaining entry was already the tightest bound on its pair of clocks.
     pub fn free(&mut self, c: usize) {
-        debug_assert!(c >= 1 && c < self.dim);
-        for j in 0..self.dim {
-            if j != c {
-                self.set(c, j, INF);
-                let v = self.at(j, 0);
-                self.set(j, c, v);
+        debug_assert!(c >= 1);
+        self.retain(|x| x != c);
+    }
+
+    /// Free every tracked clock `c` for which `keep(c)` is false, in one
+    /// compaction pass over the matrix. `keep` must answer the same for a
+    /// clock each time it is asked.
+    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        if self.tracked.iter().all(|&c| keep(c)) {
+            return;
+        }
+        let old = self.dim();
+        // Slot 0 (the reference) always stays.
+        let kept = |s: usize| s == 0 || keep(self.tracked[s - 1]);
+        let mut w = 0;
+        let mut m = std::mem::take(&mut self.m);
+        for i in (0..old).filter(|&i| kept(i)) {
+            for j in (0..old).filter(|&j| kept(j)) {
+                m[w] = m[i * old + j];
+                w += 1;
             }
         }
+        m.truncate(w);
+        self.m = m;
+        self.tracked.retain(|&c| keep(c));
     }
 
     /// True if `self` includes `other` (every valuation of `other` is in
-    /// `self`). Both must be canonical.
+    /// `self`). Both must be canonical. Zones tracking the same clocks
+    /// compare entrywise; otherwise `self`'s entries are compared with
+    /// `other`'s bounds on the same clocks. A clock only `other` tracks
+    /// cannot break inclusion: `self` leaves it free, and a canonical
+    /// `other` bounds `x_i - x_c` no looser than `x_i - 0`.
     pub fn includes(&self, other: &Dbm) -> bool {
-        debug_assert_eq!(self.dim, other.dim);
-        self.m.iter().zip(other.m.iter()).all(|(a, b)| a >= b)
+        if self.tracked == other.tracked {
+            return self.m.iter().zip(&other.m).all(|(a, b)| a >= b);
+        }
+        let clock = |s: usize| if s == 0 { 0 } else { self.tracked[s - 1] };
+        let dim = self.dim();
+        (0..dim).all(|i| (0..dim).all(|j| self.at(i, j) >= other.bound(clock(i), clock(j))))
     }
 
     /// Classic maximal-constant extrapolation: bounds above `max[c]` become
     /// infinite and lower bounds below `-max[c]` are clamped, preserving
     /// reachability for diagonal-free automata. `max[c]` is indexed by real
-    /// clock (0-based); re-canonicalizes afterwards.
+    /// clock (0-based, full index); re-canonicalizes afterwards. A free
+    /// clock has no bound to widen.
     pub fn extrapolate(&mut self, max: &[i64]) {
-        debug_assert_eq!(max.len(), self.dim - 1);
+        debug_assert!(self.tracked.last().is_none_or(|&c| c <= max.len()));
+        // The maximal constant of the clock in slot s ≥ 1.
+        let k = |s: usize| max[self.tracked[s - 1] - 1] as i32;
+        let dim = self.dim();
+        let mut m = std::mem::take(&mut self.m);
         let mut changed = false;
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                if i == j {
-                    continue;
-                }
-                let v = self.at(i, j);
-                if v == INF {
+        for i in 0..dim {
+            for j in 0..dim {
+                let v = m[i * dim + j];
+                if i == j || v == INF {
                     continue;
                 }
                 // Upper bound on x_i (against anything): beyond k_i → INF.
-                if i > 0 {
-                    let ki = max[i - 1] as i32;
-                    if v > le(ki) {
-                        self.set(i, j, INF);
-                        changed = true;
-                        continue;
-                    }
+                if i > 0 && v > le(k(i)) {
+                    m[i * dim + j] = INF;
+                    changed = true;
+                    continue;
                 }
                 // Lower bound on x_j: below -k_j → clamp to < -k_j.
-                if j > 0 {
-                    let kj = max[j - 1] as i32;
-                    if v < lt(-kj) {
-                        self.set(i, j, lt(-kj));
-                        changed = true;
-                    }
+                if j > 0 && v < lt(-k(j)) {
+                    m[i * dim + j] = lt(-k(j));
+                    changed = true;
                 }
             }
         }
+        self.m = m;
         if changed {
             self.canonicalize();
         }
     }
 
-    /// Full Floyd–Warshall canonicalization (O(dim³)).
+    /// Full Floyd–Warshall canonicalization (O(tracked³)).
     pub fn canonicalize(&mut self) {
-        for k in 0..self.dim {
-            for i in 0..self.dim {
+        let dim = self.dim();
+        for k in 0..dim {
+            for i in 0..dim {
                 let dik = self.at(i, k);
                 if dik == INF {
                     continue;
                 }
-                for j in 0..self.dim {
+                for j in 0..dim {
                     let v = add_bounds(dik, self.at(k, j));
                     if v < self.at(i, j) {
                         self.set(i, j, v);
@@ -249,7 +342,7 @@ impl Dbm {
                 }
             }
         }
-        if (0..self.dim).any(|i| self.at(i, i) < LE_ZERO) {
+        if (0..dim).any(|i| self.at(i, i) < LE_ZERO) {
             self.set(0, 0, lt(0));
         }
     }
@@ -259,12 +352,12 @@ impl Dbm {
     /// tightest *integers* consistent with the zone: strict bounds are
     /// narrowed to the nearest integer inside the zone.
     pub fn clock_range(&self, c: usize) -> (i64, Option<i64>) {
-        let lo_b = self.at(0, c); // 0 - x_c ≺ m  ⇒  x_c ≻ -m
+        let lo_b = self.bound(0, c); // 0 - x_c ≺ m  ⇒  x_c ≻ -m
         let mut lo = -(lo_b >> 1) as i64;
         if lo_b & 1 == 0 {
             lo += 1; // strict lower bound
         }
-        let hi = match self.at(c, 0) {
+        let hi = match self.bound(c, 0) {
             INF => None,
             b => {
                 let mut h = (b >> 1) as i64;
@@ -295,9 +388,9 @@ pub enum Rel {
 
 impl fmt::Debug for Dbm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Dbm(dim={})", self.dim)?;
-        for i in 0..self.dim {
-            for j in 0..self.dim {
+        writeln!(f, "Dbm(tracked={:?})", self.tracked)?;
+        for i in 0..self.dim() {
+            for j in 0..self.dim() {
                 let v = self.at(i, j);
                 if v == INF {
                     write!(f, "   INF ")?;
@@ -436,16 +529,6 @@ mod tests {
         pinned.up();
         assert!(pinned.constrain_clock(1, Rel::Eq, 10));
         assert!(z.includes(&pinned));
-    }
-
-    #[test]
-    fn universe_includes_everything() {
-        let u = Dbm::universe(2);
-        let mut z = Dbm::zero(2);
-        z.up();
-        z.constrain_clock(1, Rel::Le, 42);
-        assert!(u.includes(&z));
-        assert!(!z.includes(&u));
     }
 
     #[test]

@@ -50,6 +50,18 @@
 //! location id, parent pointer, action, and the global-clock range — zones
 //! live once, reference-counted, shared between store and frontier.
 //!
+//! # Zones over live clocks
+//!
+//! Active-clock reduction (Daws–Yovine) frees every clock no automaton can
+//! read again before resetting it, and a freed clock leaves the zone: a
+//! [`Dbm`] holds only the clocks it tracks (see [`crate::dbm`]). The
+//! initial zone is built over the clocks live at the initial locations plus
+//! the global clock, and each close step drops the clocks that died with
+//! one `retain` pass. A zone's size therefore follows the live clocks
+//! (`McStats::max_zone_clocks`), not the network's clock count, and since
+//! the live set is a function of the location vector, all zones in a bucket
+//! track the same clocks.
+//!
 //! # Budgets
 //!
 //! `max_states` is checked at level boundaries (crossing a deterministic
@@ -140,7 +152,8 @@ impl McQuery {
 /// Structured exploration statistics of one model-checking run. Every field
 /// is a pure function of `(net, query, opts.max_states)` — bit-identical at
 /// any thread count — so these are the numbers flushed into a
-/// [`Telemetry`] handle and compared in determinism tests.
+/// [`Telemetry`] handle (all but `max_zone_clocks`) and compared in
+/// determinism tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McStats {
     /// Number of distinct (location vector, zone) states accepted into the
@@ -165,6 +178,10 @@ pub struct McStats {
     pub occupied_shards: usize,
     /// Live zones in the fullest shard when the run ended.
     pub max_shard_live: usize,
+    /// The most clocks any stored zone tracks, the global clock included:
+    /// the largest zone matrix is `(max_zone_clocks + 1)²`. Kept out of
+    /// telemetry, so served responses do not depend on it.
+    pub max_zone_clocks: usize,
 }
 
 /// The outcome of a model-checking run.
@@ -417,6 +434,11 @@ fn clock_activity(a: &crate::automaton::Automaton, words: usize) -> Vec<Box<[u64
     }
 }
 
+/// True if 0-based clock `c` is in the bitset.
+fn has_clock(set: &[u64], c: usize) -> bool {
+    set[c / 64] & (1u64 << (c % 64)) != 0
+}
+
 fn apply_guard(z: &mut Dbm, guard: &[crate::automaton::Constraint]) -> bool {
     for c in guard {
         if !z.constrain_clock(c.clock.0 + 1, c.rel, c.bound as i32) {
@@ -485,28 +507,32 @@ impl<'n> Engine<'n> {
         }
     }
 
-    /// Active-clock reduction: free every clock (except the global one) no
-    /// automaton can read again before resetting it. Dead clock values
-    /// cannot influence any future transition or query, so freeing them is
-    /// exact for location reachability and global-clock ranges — it merges
-    /// states that differ only in dead dimensions (fewer states, smaller
-    /// store) and leaves `INF` rows that the O(dim³) re-canonicalization in
-    /// extrapolation skips.
-    fn free_inactive_clocks(&self, locs: &[u32], z: &mut Dbm) {
-        let mut used = vec![0u64; self.clock_words];
+    /// The clocks live at `locs`, as a bitset over 0-based clock ids: every
+    /// clock some automaton may read there before resetting it, plus the
+    /// global clock, which the queries read.
+    fn live_clocks(&self, locs: &[u32]) -> Box<[u64]> {
+        let mut used = vec![0u64; self.clock_words].into_boxed_slice();
         for (ai, &l) in locs.iter().enumerate() {
             for (w, a) in used.iter_mut().zip(self.active[ai][l as usize].iter()) {
                 *w |= a;
             }
         }
-        for c in 0..self.net.clock_names.len() {
-            if self.global == Some(c) {
-                continue;
-            }
-            if used[c / 64] & (1u64 << (c % 64)) == 0 {
-                z.free(c + 1);
-            }
+        if let Some(g) = self.global {
+            used[g / 64] |= 1u64 << (g % 64);
         }
+        used
+    }
+
+    /// Active-clock reduction: free every clock (except the global one) no
+    /// automaton can read again before resetting it. Dead clock values
+    /// cannot influence any future transition or query, so freeing them is
+    /// exact for location reachability and global-clock ranges — it merges
+    /// states that differ only in dead dimensions (fewer states, smaller
+    /// store) and drops their rows and columns from the zone, so every
+    /// later operation on it runs over the live clocks only.
+    fn free_inactive_clocks(&self, locs: &[u32], z: &mut Dbm) {
+        let live = self.live_clocks(locs);
+        z.retain(|c| has_clock(&live, c - 1));
     }
 
     fn apply_invariants(&self, locs: &[u32], z: &mut Dbm) -> bool {
@@ -864,7 +890,11 @@ fn check_inner(
     // unsatisfiable: every safety property holds vacuously — say so instead
     // of reporting a clean pass.
     let init_locs: Vec<u32> = net.automata.iter().map(|a| a.init.0 as u32).collect();
-    let Some(z0) = engine.close(&init_locs, Dbm::zero(net.clock_count())) else {
+    // The initial zone tracks only the clocks live at the initial locations,
+    // so no stored zone ever holds a row for a dead clock.
+    let live = engine.live_clocks(&init_locs);
+    let z0 = Dbm::zero_over((1..=net.clock_count()).filter(|&c| has_clock(&live, c - 1)));
+    let Some(z0) = engine.close(&init_locs, z0) else {
         return McResult {
             holds: Some(true),
             time_secs: start.elapsed().as_secs_f64(),
@@ -884,6 +914,7 @@ fn check_inner(
     let mut arena: Vec<ArenaEntry> = Vec::new();
     let mut stats = McStats {
         peak_store: 1,
+        max_zone_clocks: z0.clocks(),
         ..McStats::default()
     };
 
@@ -1101,6 +1132,7 @@ fn check_inner(
             let cand = &cands[acc.cand as usize];
             let id = arena.len() as u32;
             let (glo, ghi) = grange(g_idx, &cand.zone);
+            stats.max_zone_clocks = stats.max_zone_clocks.max(cand.zone.clocks());
             arena.push(ArenaEntry {
                 shard: s,
                 local: acc.local,

@@ -7,7 +7,7 @@ use rlse::cells::defs;
 use rlse::core::machine::TimeKey;
 use rlse::designs::{bitonic_delay, bitonic_sorter_with_inputs};
 use rlse::prelude::*;
-use rlse::ta::dbm::{Dbm, Rel};
+use rlse::ta::dbm::{le, lt, Dbm, Rel, INF, LE_ZERO};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------- machines
@@ -298,6 +298,333 @@ proptest! {
         prop_assert_eq!(z.clock_range(2), (0, Some(0)));
         prop_assert_eq!(z.clock_range(1), (hi as i64, Some(hi as i64)));
         let _ = (lo2, hi2);
+    }
+}
+
+// ------------------------------------------------- DBMs: dense reference
+
+/// The dense zone representation the compact [`Dbm`] replaced: one
+/// `(clocks + 1)²` matrix over every clock, where freeing a clock writes
+/// `INF` into its row and copies column 0 into its column. Kept as the
+/// reference the compact zones are checked against.
+#[derive(Clone)]
+struct DenseDbm {
+    dim: usize,
+    m: Vec<i32>,
+}
+
+fn dense_add(a: i32, b: i32) -> i32 {
+    if a == INF || b == INF {
+        INF
+    } else {
+        ((a >> 1) + (b >> 1)) * 2 + (a & b & 1)
+    }
+}
+
+impl DenseDbm {
+    fn zero(clocks: usize) -> Self {
+        let dim = clocks + 1;
+        DenseDbm {
+            dim,
+            m: vec![LE_ZERO; dim * dim],
+        }
+    }
+
+    fn at(&self, i: usize, j: usize) -> i32 {
+        self.m[i * self.dim + j]
+    }
+
+    fn set(&mut self, i: usize, j: usize, v: i32) {
+        self.m[i * self.dim + j] = v;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.at(0, 0) < LE_ZERO
+    }
+
+    fn up(&mut self) {
+        for i in 1..self.dim {
+            self.set(i, 0, INF);
+        }
+    }
+
+    fn constrain(&mut self, i: usize, j: usize, bound: i32) -> bool {
+        if dense_add(self.at(j, i), bound) < LE_ZERO {
+            self.set(0, 0, lt(0));
+            return false;
+        }
+        if bound < self.at(i, j) {
+            self.set(i, j, bound);
+            for a in 0..self.dim {
+                for b in 0..self.dim {
+                    let via_ij = dense_add(dense_add(self.at(a, i), bound), self.at(j, b));
+                    if via_ij < self.at(a, b) {
+                        self.set(a, b, via_ij);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    fn constrain_clock(&mut self, c: usize, rel: Rel, v: i32) -> bool {
+        match rel {
+            Rel::Le => self.constrain(c, 0, le(v)),
+            Rel::Lt => self.constrain(c, 0, lt(v)),
+            Rel::Ge => self.constrain(0, c, le(-v)),
+            Rel::Gt => self.constrain(0, c, lt(-v)),
+            Rel::Eq => self.constrain(c, 0, le(v)) && self.constrain(0, c, le(-v)),
+        }
+    }
+
+    fn reset(&mut self, c: usize) {
+        for j in 0..self.dim {
+            let v = self.at(0, j);
+            self.set(c, j, v);
+            let v = self.at(j, 0);
+            self.set(j, c, v);
+        }
+        self.set(c, 0, LE_ZERO);
+        self.set(0, c, LE_ZERO);
+    }
+
+    fn free(&mut self, c: usize) {
+        for j in 0..self.dim {
+            if j != c {
+                self.set(c, j, INF);
+                let v = self.at(j, 0);
+                self.set(j, c, v);
+            }
+        }
+    }
+
+    fn includes(&self, other: &DenseDbm) -> bool {
+        self.m.iter().zip(&other.m).all(|(a, b)| a >= b)
+    }
+
+    fn extrapolate(&mut self, max: &[i64]) {
+        let mut changed = false;
+        for i in 0..self.dim {
+            for j in 0..self.dim {
+                if i == j {
+                    continue;
+                }
+                let v = self.at(i, j);
+                if v == INF {
+                    continue;
+                }
+                if i > 0 && v > le(max[i - 1] as i32) {
+                    self.set(i, j, INF);
+                    changed = true;
+                    continue;
+                }
+                if j > 0 && v < lt(-(max[j - 1] as i32)) {
+                    self.set(i, j, lt(-(max[j - 1] as i32)));
+                    changed = true;
+                }
+            }
+        }
+        if changed {
+            for k in 0..self.dim {
+                for i in 0..self.dim {
+                    let dik = self.at(i, k);
+                    if dik == INF {
+                        continue;
+                    }
+                    for j in 0..self.dim {
+                        let v = dense_add(dik, self.at(k, j));
+                        if v < self.at(i, j) {
+                            self.set(i, j, v);
+                        }
+                    }
+                }
+            }
+            if (0..self.dim).any(|i| self.at(i, i) < LE_ZERO) {
+                self.set(0, 0, lt(0));
+            }
+        }
+    }
+
+    fn clock_range(&self, c: usize) -> (i64, Option<i64>) {
+        let lo_b = self.at(0, c);
+        let lo = -(lo_b >> 1) as i64 + i64::from(lo_b & 1 == 0);
+        let hi = match self.at(c, 0) {
+            INF => None,
+            b => Some((b >> 1) as i64 - i64::from(b & 1 == 0)),
+        };
+        (lo, hi)
+    }
+}
+
+/// A compact zone and its dense reference, driven in lockstep.
+///
+/// `freed` lists the clocks freed since they were last reset or
+/// constrained. A dense freed clock keeps evolving under `up` (its column
+/// keeps the pre-delay bounds `x_j - x_c`), which a compact zone, having
+/// dropped the clock, cannot represent. The model checker frees every dead
+/// clock again right after each delay, so the reference does the same after
+/// `up`; every other operation must keep the dense freed rows and columns
+/// in free form on its own.
+#[derive(Clone)]
+struct ZonePair {
+    compact: Dbm,
+    dense: DenseDbm,
+    freed: Vec<usize>,
+}
+
+/// One random zone operation: `(kind, clock, relation, value)`.
+type ZoneOp = (u8, usize, u8, i32);
+
+fn rel_of(r: u8) -> Rel {
+    match r % 5 {
+        0 => Rel::Le,
+        1 => Rel::Lt,
+        2 => Rel::Ge,
+        3 => Rel::Gt,
+        _ => Rel::Eq,
+    }
+}
+
+impl ZonePair {
+    /// Zero over `clocks` clocks, with the clocks outside `tracked` free.
+    fn zero(clocks: usize, tracked: &[usize]) -> Self {
+        let mut dense = DenseDbm::zero(clocks);
+        let freed: Vec<usize> = (1..=clocks).filter(|c| !tracked.contains(c)).collect();
+        for &c in &freed {
+            dense.free(c);
+        }
+        ZonePair {
+            compact: Dbm::zero_over(tracked.iter().copied()),
+            dense,
+            freed,
+        }
+    }
+
+    /// Apply one operation to both zones; `false` if the zone became empty.
+    fn apply(&mut self, (kind, c, rel, v): ZoneOp, max: &[i64]) -> bool {
+        let c = 1 + c % (self.dense.dim - 1);
+        match kind % 6 {
+            0 | 1 => {
+                self.freed.retain(|&f| f != c);
+                let a = self.compact.constrain_clock(c, rel_of(rel), v);
+                let b = self.dense.constrain_clock(c, rel_of(rel), v);
+                assert_eq!(a, b, "constrain x{c} verdict");
+            }
+            2 => {
+                self.compact.up();
+                self.dense.up();
+                for &f in &self.freed {
+                    self.dense.free(f);
+                }
+            }
+            3 => {
+                self.freed.retain(|&f| f != c);
+                self.compact.reset(c);
+                self.dense.reset(c);
+            }
+            4 => {
+                if !self.freed.contains(&c) {
+                    self.freed.push(c);
+                }
+                self.compact.free(c);
+                self.dense.free(c);
+            }
+            _ => {
+                self.compact.extrapolate(max);
+                self.dense.extrapolate(max);
+            }
+        }
+        !self.dense.is_empty()
+    }
+
+    /// Every observable of the two zones agrees (an empty zone's entries
+    /// are meaningless: only its emptiness is compared).
+    fn check_agrees(&self) -> Result<(), TestCaseError> {
+        let dim = self.dense.dim;
+        prop_assert_eq!(self.compact.is_empty(), self.dense.is_empty());
+        if self.dense.is_empty() {
+            return Ok(());
+        }
+        for i in 0..dim {
+            for j in 0..dim {
+                prop_assert!(
+                    self.compact.bound(i, j) == self.dense.at(i, j),
+                    "bound({i}, {j}): compact {} vs dense {}\n{:?}",
+                    self.compact.bound(i, j),
+                    self.dense.at(i, j),
+                    self.compact
+                );
+            }
+        }
+        for c in 1..dim {
+            prop_assert_eq!(self.compact.clock_range(c), self.dense.clock_range(c));
+        }
+        Ok(())
+    }
+}
+
+fn zone_op() -> impl Strategy<Value = ZoneOp> {
+    (0u8..6, 0usize..8, 0u8..5, 0i32..60)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compact zone (tracked clocks only) answers every query exactly as
+    /// the dense `(clocks + 1)²` matrix it replaced, after every step of a
+    /// random constrain / up / reset / free / extrapolate sequence over 1–8
+    /// clocks: all pairwise bounds, emptiness, clock ranges, and inclusion
+    /// against a second random zone (its own tracked set) and against a
+    /// tightened copy (the same tracked set).
+    #[test]
+    fn dbm_compact_zones_match_the_dense_reference(
+        clocks in 1usize..9,
+        tracked_mask in 0u32..256,
+        ops in proptest::collection::vec(zone_op(), 0..24),
+        other_mask in 0u32..256,
+        other_ops in proptest::collection::vec(zone_op(), 0..12),
+        max in proptest::collection::vec(0i64..40, 8),
+    ) {
+        let subset = |mask: u32| -> Vec<usize> {
+            (1..=clocks).filter(|c| mask & (1 << (c - 1)) != 0).collect()
+        };
+        let max = &max[..clocks];
+        let mut other = ZonePair::zero(clocks, &subset(other_mask));
+        for &op in &other_ops {
+            let before = other.clone();
+            if !other.apply(op, max) {
+                other = before;
+            }
+        }
+        other.check_agrees()?;
+
+        let mut z = ZonePair::zero(clocks, &subset(tracked_mask));
+        z.check_agrees()?;
+        for &op in &ops {
+            let nonempty = z.apply(op, max);
+            z.check_agrees()?;
+            if !nonempty {
+                break;
+            }
+            prop_assert_eq!(
+                z.compact.includes(&other.compact),
+                z.dense.includes(&other.dense)
+            );
+            prop_assert_eq!(
+                other.compact.includes(&z.compact),
+                other.dense.includes(&z.dense)
+            );
+            // The compact zone tracks exactly the clocks not freed.
+            prop_assert_eq!(z.compact.clocks(), clocks - z.freed.len());
+            // A tightened copy over the same tracked clocks.
+            if let Some(c) = (1..=clocks).find(|c| !z.freed.contains(c)) {
+                let mut t = z.clone();
+                if t.apply((0, c - 1, 0, op.3 / 2), max) {
+                    prop_assert_eq!(t.compact.includes(&z.compact), t.dense.includes(&z.dense));
+                    prop_assert_eq!(z.compact.includes(&t.compact), z.dense.includes(&t.dense));
+                }
+            }
+        }
     }
 }
 
