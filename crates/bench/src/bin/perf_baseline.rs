@@ -34,6 +34,12 @@
 //! KB). Flat ns/B across that range is the evidence that decode is linear
 //! in line length.
 //!
+//! The `serve_hit_path` section prices one served `simulate` request three
+//! ways on min_max and bitonic_8: a spelling hit (the line repeats byte for
+//! byte, so the compiled cache finds it by its raw `ir` text), a canonical
+//! hit (the same circuit re-spelled, found by IR decode and canonical
+//! hash) and a miss (a fresh server compiles it).
+//!
 //! Allocation counts come from a counting global allocator and cover the
 //! whole `run()` call, including the per-run `Events` materialization at the
 //! boundary; the interesting signal is the per-event marginal cost.
@@ -442,6 +448,100 @@ fn measure_ir_decode(name: &'static str) -> DecodeRow {
     }
 }
 
+/// Sample count, median and fastest sample of one timed request, in µs,
+/// plus the request's (deterministic) heap allocations.
+struct PerRequest {
+    n: usize,
+    median_us: f64,
+    min_us: f64,
+    allocs: u64,
+}
+
+impl PerRequest {
+    fn of(mut samples_ns: Vec<f64>, allocs: u64) -> Self {
+        let median = median_ns(&mut samples_ns);
+        PerRequest {
+            n: samples_ns.len(),
+            median_us: median / 1e3,
+            min_us: samples_ns[0] / 1e3,
+            allocs,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"n\": {}, \"median_us\": {:.1}, \"min_us\": {:.1}, \"allocs_per_req\": {}}}",
+            self.n, self.median_us, self.min_us, self.allocs
+        )
+    }
+}
+
+/// One `serve_hit_path` row: `Server::handle_line` of one design's
+/// `simulate` request as a spelling hit, a canonical hit and a miss.
+struct HitPathRow {
+    name: &'static str,
+    bytes: usize,
+    spelling_hit: PerRequest,
+    canonical_hit: PerRequest,
+    miss: PerRequest,
+}
+
+fn measure_serve_hit_path(name: &'static str) -> HitPathRow {
+    use rlse_serve::{ServeOptions, Server};
+    let ir = rlse_designs::design_ir(name, 1.0).to_value();
+    let request = |ir: String| format!("{{\"id\":\"hit-{name}\",\"kind\":\"simulate\",\"ir\":{ir}}}");
+    let line = request(ir.to_compact());
+    let respelled = request(ir.to_pretty());
+    let fresh = || Server::new(ServeOptions::default());
+    let server = fresh();
+    let answer = server.handle_line(&line);
+    assert!(answer.contains("\"ok\":true"), "{answer}");
+    assert_eq!(server.handle_line(&line), answer, "canonical hit admits the spelling");
+    assert_eq!(server.cache().spellings().0, 1);
+    let allocs_of = |server: &Server, line: &str| {
+        let a0 = allocs();
+        assert_eq!(server.handle_line(line), answer);
+        allocs() - a0
+    };
+    let allocs = [
+        allocs_of(&server, &line),
+        allocs_of(&server, &respelled),
+        allocs_of(&fresh(), &line),
+    ];
+    // Interleave the three ways sample by sample.
+    let timed = |server: &Server, line: &str| {
+        let t0 = Instant::now();
+        let got = server.handle_line(line);
+        let ns = t0.elapsed().as_secs_f64() * 1e9;
+        assert_eq!(got, answer);
+        ns
+    };
+    let round = |samples: &mut [Vec<f64>; 3]| {
+        samples[0].push(timed(&server, &line));
+        samples[1].push(timed(&server, &respelled));
+        let cold = fresh();
+        samples[2].push(timed(&cold, &line));
+    };
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    let t0 = Instant::now();
+    round(&mut samples);
+    let per_round_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let reps = ((600.0 / per_round_ms.max(1e-3)) as usize).clamp(30, 2000);
+    samples = Default::default();
+    for _ in 0..reps {
+        round(&mut samples);
+    }
+    assert_eq!(server.cache().misses(), 1, "the warm server never recompiles");
+    let [spelling, canonical, miss] = samples;
+    HitPathRow {
+        name,
+        bytes: line.len(),
+        spelling_hit: PerRequest::of(spelling, allocs[0]),
+        canonical_hit: PerRequest::of(canonical, allocs[1]),
+        miss: PerRequest::of(miss, allocs[2]),
+    }
+}
+
 /// Telemetry overhead on the reused bitonic_8 workload: median run time
 /// with no handle attached, with a disabled handle, and with an enabled
 /// handle. The first two must be indistinguishable (the disabled handle is
@@ -641,6 +741,10 @@ fn main() {
         .into_iter()
         .map(measure_ir_decode)
         .collect();
+    let hit_path_rows: Vec<HitPathRow> = ["min_max", "bitonic_8"]
+        .into_iter()
+        .map(measure_serve_hit_path)
+        .collect();
 
     // Hand-rolled JSON (the workspace deliberately has no serde dependency).
     let mut out = String::new();
@@ -781,6 +885,22 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"serve_hit_path\": {{\"host_cores\": {host_cores}, \"rows\": [\n"
+    ));
+    for (i, r) in hit_path_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"line_bytes\": {}, \"spelling_hit\": {}, \
+             \"canonical_hit\": {}, \"miss\": {}}}{}\n",
+            r.name,
+            r.bytes,
+            r.spelling_hit.json(),
+            r.canonical_hit.json(),
+            r.miss.json(),
+            if i + 1 == hit_path_rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ]},\n");
     let disabled_pct = 100.0 * (overhead.disabled_ns - overhead.off_ns) / overhead.off_ns;
     let enabled_pct = 100.0 * (overhead.enabled_ns - overhead.off_ns) / overhead.off_ns;
     out.push_str(&format!(

@@ -221,7 +221,8 @@ pub fn simulate(bench: Bench) -> (Events, f64, Circuit) {
     let start = std::time::Instant::now();
     let events = sim.run().expect("bench simulates cleanly");
     let secs = start.elapsed().as_secs_f64();
-    (events, secs, sim.into_circuit())
+    let circuit = sim.into_circuit().expect("built from a circuit");
+    (events, secs, circuit)
 }
 
 /// Expected output times per circuit-output wire, extracted from a

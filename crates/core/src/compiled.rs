@@ -24,7 +24,7 @@
 //! at compile time and resolved back on demand.
 
 use crate::circuit::{Circuit, NodeKind};
-use crate::error::Time;
+use crate::error::{Time, WiringError};
 use crate::machine::{InputId, Machine, StateId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -465,12 +465,21 @@ pub struct CompiledCircuit {
     pub(crate) stim: Vec<CompiledStim>,
     /// Number of dispatchable nodes (machines and holes; sources excluded).
     pub(crate) dispatch_nodes: usize,
+    /// Per wire: its name. A node's first output wire shares the node's
+    /// `node_wire` symbol; every other wire is interned once here.
+    pub(crate) wire_name: Vec<Symbol>,
+    /// Per wire: whether it is observed (named by the user), i.e. listed
+    /// among a run's named events.
+    pub(crate) observed: Vec<bool>,
+    /// The [`Circuit::check`] verdict, taken once at compile time and
+    /// returned by every run of these tables.
+    pub(crate) check: Result<(), WiringError>,
 }
 
 impl CompiledCircuit {
     /// Lower `circuit` into flat dispatch tables. Pure and infallible: an
-    /// ill-formed circuit still compiles (validation stays in
-    /// [`Circuit::check`]); compilation only reshapes data.
+    /// ill-formed circuit still compiles, carrying its [`Circuit::check`]
+    /// verdict for every run to return; compilation only reshapes data.
     pub fn compile(circuit: &Circuit) -> Self {
         let mut symbols = SymbolTable::default();
         let mut machines: Vec<CompiledMachine> = Vec::new();
@@ -491,6 +500,9 @@ impl CompiledCircuit {
         let mut stim_pulses = 0usize;
         let mut dispatch_nodes = 0usize;
         let mut stim: Vec<CompiledStim> = Vec::new();
+        // Filled per node below; `UNNAMED` marks a wire no node drives.
+        const UNNAMED: Symbol = Symbol(u32::MAX);
+        let mut wire_name = vec![UNNAMED; circuit.wires.len()];
 
         for (i, node) in circuit.nodes.iter().enumerate() {
             let nw = match circuit.node_wire_name_ref(crate::circuit::NodeId(i)) {
@@ -498,6 +510,12 @@ impl CompiledCircuit {
                 None => symbols.intern_untracked(&format!("<node {i}>")),
             };
             node_wire.push(nw);
+            if let Some((&first, rest)) = node.out_wires.split_first() {
+                wire_name[first] = nw;
+                for &w in rest {
+                    wire_name[w] = symbols.intern_untracked(&circuit.wires[w].name);
+                }
+            }
             match &node.kind {
                 NodeKind::Source { pulses } => {
                     stim_pulses += pulses.len();
@@ -568,6 +586,11 @@ impl CompiledCircuit {
         }
         out_start.push(out_wires.len() as u32);
 
+        for (sym, w) in wire_name.iter_mut().zip(&circuit.wires) {
+            if *sym == UNNAMED {
+                *sym = symbols.intern_untracked(&w.name);
+            }
+        }
         let sink = circuit
             .wires
             .iter()
@@ -591,6 +614,9 @@ impl CompiledCircuit {
             stim_pulses,
             stim,
             dispatch_nodes,
+            wire_name,
+            observed: circuit.wires.iter().map(|w| w.observed).collect(),
+            check: circuit.check(),
         }
     }
 
@@ -623,6 +649,12 @@ impl CompiledCircuit {
     /// can exceed the estimate, in which case the trace simply grows.
     pub fn event_estimate(&self) -> usize {
         self.stim_pulses.saturating_mul(self.dispatch_nodes).min(4096)
+    }
+
+    /// True if the circuit has a behavioral hole node, whose closure only
+    /// the [`Circuit`] holds.
+    pub(crate) fn has_holes(&self) -> bool {
+        self.nodes.iter().any(|n| matches!(n, CompiledNode::Hole { .. }))
     }
 
     /// The output wires driven by `node`, as dense wire indices.

@@ -2,7 +2,7 @@
 //! a mapping from each named wire to the ordered list of pulse times that
 //! appeared on it, plus helpers for the dynamic correctness checks of §5.2.
 
-use crate::circuit::Circuit;
+use crate::compiled::CompiledCircuit;
 use crate::error::Time;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,15 +27,18 @@ impl PartialEq for Events {
 }
 
 impl Events {
-    pub(crate) fn from_wires(circuit: &Circuit, wire_events: &[Vec<Time>]) -> Self {
+    /// The dictionary of one run: `wire_events[w]` holds wire `w`'s pulse
+    /// times, keyed by the wire names and observed flags of the compiled
+    /// tables the run used.
+    pub(crate) fn from_wires(cc: &CompiledCircuit, wire_events: &[Vec<Time>]) -> Self {
         let mut named = BTreeMap::new();
         let mut all = BTreeMap::new();
         for (idx, evs) in wire_events.iter().enumerate() {
-            let wd = &circuit.wires[idx];
-            if wd.observed {
-                named.insert(wd.name.clone(), evs.clone());
+            let name = cc.symbols.resolve(cc.wire_name[idx]);
+            if cc.observed[idx] {
+                named.insert(name.to_string(), evs.clone());
             }
-            all.insert(wd.name.clone(), evs.clone());
+            all.insert(name.to_string(), evs.clone());
         }
         Events {
             named,

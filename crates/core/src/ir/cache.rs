@@ -25,6 +25,18 @@
 //!   the globally least-recently-used entry. Eviction is the rare slow path
 //!   by construction, so the full sweep does not affect steady-state
 //!   lookups.
+//! * **Spelling index** — a repeated request usually carries its IR as the
+//!   very same JSON text. [`get_spelled`](CompiledCache::get_spelled) finds
+//!   an entry by those raw bytes, skipping IR decode, circuit rebuild and
+//!   canonical encoding. Keys are compared byte for byte, so the index can
+//!   never serve the wrong circuit; byte-identical text decodes to the
+//!   identical IR, so it serves exactly the canonical path's entry. A
+//!   spelling is admitted only on a canonical hit
+//!   ([`get_or_compile_spelled`](CompiledCache::get_or_compile_spelled)),
+//!   at most one per entry and only when no longer than twice the entry's
+//!   canonical bytes, and it is evicted with its entry. Lock order: an
+//!   entry shard may be held while taking a spelling shard, never the
+//!   reverse.
 
 use super::{Ir, IrError};
 use crate::circuit::Circuit;
@@ -59,6 +71,43 @@ struct Entry {
     compiled: Arc<CompiledCircuit>,
     /// Tick of the last lookup that touched this entry (LRU eviction key).
     last_used: u64,
+    /// Spelling-index key of this entry's one admitted spelling, if any.
+    spelling: Option<u64>,
+}
+
+/// One admitted spelling: the exact raw bytes of a request's `ir` value,
+/// mapped to its entry's canonical hash and compiled tables.
+struct Spelling {
+    raw: Box<[u8]>,
+    hash: u64,
+    compiled: Arc<CompiledCircuit>,
+}
+
+/// A spelling whose bytes exceed this multiple of its entry's canonical
+/// bytes is never admitted: text the canonical form excludes (a display
+/// `name` of megabytes, say) must not grow the index past the entries.
+const MAX_SPELLING_RATIO: usize = 2;
+
+/// The spelling-index key: a fast 64-bit hash of raw bytes, four 8-byte
+/// lanes at a time. Keys are compared byte for byte, so it only spreads
+/// entries over buckets and shards.
+fn spelling_key(raw: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let mut lanes = [raw.len() as u64, 1, 2, 3];
+    let mut blocks = raw.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, c) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = (lane.rotate_left(29) ^ word(c)).wrapping_mul(K);
+        }
+    }
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    let mut h = 0u64;
+    for (lane, c) in lanes.iter().zip(tail.chunks_exact(8)) {
+        h = (h.rotate_left(29) ^ lane ^ word(c)).wrapping_mul(K);
+    }
+    h ^ (h >> 32)
 }
 
 /// An in-flight compilation: waiters block on the condvar until the leader
@@ -125,6 +174,10 @@ struct Shard {
 
 type SidecarShard = HashMap<(u64, TypeId), Arc<dyn Any + Send + Sync>>;
 
+/// Spellings by [`spelling_key`]; a bucket holds at most one spelling per
+/// entry, so its length is bounded by the entry count.
+type SpellingShard = HashMap<u64, Vec<Spelling>>;
+
 /// A thread-safe memo of compiled circuits keyed on IR content, with a
 /// type-keyed sidecar for downstream artifacts (e.g. analog cell-template
 /// banks) cached under the same hash. Sharded and single-flight — see the
@@ -160,6 +213,7 @@ type SidecarShard = HashMap<(u64, TypeId), Arc<dyn Any + Send + Sync>>;
 pub struct CompiledCache {
     shards: Vec<Mutex<Shard>>,
     sidecars: Vec<Mutex<SidecarShard>>,
+    spellings: Vec<Mutex<SpellingShard>>,
     /// Entry count across all shards (kept in step under the shard locks;
     /// read lock-free for the cheap over-cap check).
     count: AtomicUsize,
@@ -200,6 +254,7 @@ impl CompiledCache {
         CompiledCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             sidecars: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            spellings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             count: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -244,6 +299,54 @@ impl CompiledCache {
             .expect("sidecar cache poisoned")
     }
 
+    fn spelling_shard(&self, key: u64) -> MutexGuard<'_, SpellingShard> {
+        self.spellings[key as usize & (SHARDS - 1)]
+            .lock()
+            .expect("spelling index poisoned")
+    }
+
+    /// The canonical hash and compiled tables of the entry whose admitted
+    /// spelling is exactly `raw` — the bytes of a request's `ir` value —
+    /// or `None`. A hit counts as one cache hit and refreshes the entry's
+    /// LRU stamp; it skips IR decode, circuit rebuild and canonical
+    /// encoding altogether.
+    pub fn get_spelled(&self, raw: &[u8]) -> Option<(u64, Arc<CompiledCircuit>)> {
+        let key = spelling_key(raw);
+        let (hash, compiled) = {
+            let shard = self.spelling_shard(key);
+            let found = shard.get(&key)?.iter().find(|s| *s.raw == *raw)?;
+            (found.hash, Arc::clone(&found.compiled))
+        };
+        // The spelling lock is released first (lock order), so the entry
+        // may have been evicted since: that is a miss.
+        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+        self.shard(hash)
+            .entries
+            .get_mut(&hash)?
+            .iter_mut()
+            .find(|e| Arc::ptr_eq(&e.compiled, &compiled))?
+            .last_used = stamp;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.add("ir_cache.hits", 1);
+        Some((hash, compiled))
+    }
+
+    /// Admit `raw` as `entry`'s spelling, unless it already has one or
+    /// `raw` is longer than [`MAX_SPELLING_RATIO`] × its canonical bytes.
+    /// Called with the entry's shard locked.
+    fn admit_spelling(&self, hash: u64, entry: &mut Entry, raw: &[u8]) {
+        if entry.spelling.is_some() || raw.len() > MAX_SPELLING_RATIO * entry.canon.len() {
+            return;
+        }
+        let key = spelling_key(raw);
+        self.spelling_shard(key).entry(key).or_default().push(Spelling {
+            raw: raw.into(),
+            hash,
+            compiled: Arc::clone(&entry.compiled),
+        });
+        entry.spelling = Some(key);
+    }
+
     /// Rebuild the IR's circuit and return its compiled form, compiling at
     /// most once per distinct canonical content — even under contention:
     /// concurrent callers for the same content wait for the one in-flight
@@ -258,6 +361,23 @@ impl CompiledCache {
     ///
     /// Any [`IrError`] from [`Ir::to_circuit`].
     pub fn get_or_compile(&self, ir: &Ir) -> Result<CacheOutcome, IrError> {
+        self.lookup(ir, None)
+    }
+
+    /// [`get_or_compile`](Self::get_or_compile) for an IR decoded from the
+    /// raw JSON bytes `raw`: on a hit, `raw` is also admitted as the
+    /// entry's spelling (see the module docs), so a byte-identical repeat
+    /// is found by [`get_spelled`](Self::get_spelled). A miss admits
+    /// nothing, so circuits seen once leave the index empty.
+    ///
+    /// # Errors
+    ///
+    /// Any [`IrError`] from [`Ir::to_circuit`].
+    pub fn get_or_compile_spelled(&self, ir: &Ir, raw: &[u8]) -> Result<CacheOutcome, IrError> {
+        self.lookup(ir, Some(raw))
+    }
+
+    fn lookup(&self, ir: &Ir, raw: Option<&[u8]>) -> Result<CacheOutcome, IrError> {
         let circuit = ir.to_circuit()?;
         let canon = ir.canonical_bytes();
         let hash = super::fnv1a(&canon);
@@ -272,6 +392,9 @@ impl CompiledCache {
                     .and_then(|bucket| bucket.iter_mut().find(|e| e.canon == canon))
                     .map(|e| {
                         e.last_used = stamp;
+                        if let Some(raw) = raw {
+                            self.admit_spelling(hash, e, raw);
+                        }
                         Arc::clone(&e.compiled)
                     })
                 {
@@ -346,6 +469,7 @@ impl CompiledCache {
                             canon,
                             compiled: Arc::clone(&compiled),
                             last_used: stamp,
+                            spelling: None,
                         });
                         self.count.fetch_add(1, Ordering::Relaxed);
                         compiled
@@ -369,8 +493,9 @@ impl CompiledCache {
 
     /// Evict globally least-recently-used entries until at most `cap`
     /// remain. Locks every shard (in index order — the only multi-shard
-    /// lock path, so it cannot deadlock against single-shard users); once a
-    /// victim's hash bucket empties, its sidecars go too.
+    /// lock path, so it cannot deadlock against single-shard users); a
+    /// victim's spelling goes with it, and once its hash bucket empties,
+    /// its sidecars go too.
     fn enforce_cap(&self, cap: usize) {
         if self.count.load(Ordering::Relaxed) <= cap {
             return;
@@ -403,8 +528,17 @@ impl CompiledCache {
                 .min();
             let Some((_, si, h, i)) = victim else { return };
             let bucket = shards[si].entries.get_mut(&h).expect("victim bucket exists");
-            bucket.remove(i);
+            let victim = bucket.remove(i);
             self.count.fetch_sub(1, Ordering::Relaxed);
+            if let Some(key) = victim.spelling {
+                let mut index = self.spelling_shard(key);
+                if let Some(spellings) = index.get_mut(&key) {
+                    spellings.retain(|s| !Arc::ptr_eq(&s.compiled, &victim.compiled));
+                    if spellings.is_empty() {
+                        index.remove(&key);
+                    }
+                }
+            }
             if bucket.is_empty() {
                 shards[si].entries.remove(&h);
                 self.sidecar_shard(h).retain(|&(sh, _), _| sh != h);
@@ -456,6 +590,17 @@ impl CompiledCache {
         self.len() == 0
     }
 
+    /// The spelling index's footprint: `(admitted spellings, their total
+    /// raw bytes)`. At most one spelling per entry is ever held.
+    pub fn spellings(&self) -> (usize, usize) {
+        self.spellings.iter().fold((0, 0), |(n, bytes), m| {
+            let shard = m.lock().expect("spelling index poisoned");
+            shard.values().flatten().fold((n, bytes), |(n, bytes), s| {
+                (n + 1, bytes + s.raw.len())
+            })
+        })
+    }
+
     /// Total cache hits since construction (including single-flight waiters
     /// served the leader's entry).
     pub fn hits(&self) -> u64 {
@@ -482,11 +627,14 @@ impl CompiledCache {
         *self.compile_hook.lock().expect("hook poisoned") = Some(hook);
     }
 
-    /// Drop every entry and sidecar (counters are kept).
+    /// Drop every entry, spelling and sidecar (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("compiled cache poisoned");
             shard.entries.clear();
+        }
+        for shard in &self.spellings {
+            shard.lock().expect("spelling index poisoned").clear();
         }
         for shard in &self.sidecars {
             shard.lock().expect("sidecar cache poisoned").clear();
@@ -583,6 +731,62 @@ mod tests {
             "b's sidecar went with it"
         );
         assert!(tel.report().counter("ir_cache.evictions") >= 2);
+    }
+
+    #[test]
+    fn spellings_are_admitted_on_canonical_hits_only() {
+        let cache = CompiledCache::new();
+        let ir = small_jtl_ir();
+        let raw = ir.to_json().into_bytes();
+        assert!(!cache.get_or_compile_spelled(&ir, &raw).unwrap().hit);
+        assert_eq!(cache.spellings(), (0, 0), "a miss admits nothing");
+        assert!(cache.get_spelled(&raw).is_none());
+        let hit = cache.get_or_compile_spelled(&ir, &raw).unwrap();
+        assert!(hit.hit);
+        assert_eq!(cache.spellings(), (1, raw.len()));
+        let (hash, compiled) = cache.get_spelled(&raw).expect("spelling hit");
+        assert_eq!(hash, ir.content_hash());
+        assert!(Arc::ptr_eq(&compiled, &hit.compiled));
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        // A second spelling of the same entry, and any other bytes, miss.
+        let other = ir.to_value().to_compact().into_bytes();
+        assert!(cache.get_or_compile_spelled(&ir, &other).unwrap().hit);
+        assert_eq!(cache.spellings(), (1, raw.len()), "one spelling per entry");
+        assert!(cache.get_spelled(&other).is_none());
+        assert!(cache.get_spelled(&raw[1..]).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+        cache.clear();
+        assert_eq!(cache.spellings(), (0, 0));
+        assert!(cache.get_spelled(&raw).is_none());
+    }
+
+    #[test]
+    fn oversized_spellings_are_refused_and_evicted_ones_go() {
+        let cache = CompiledCache::new().with_max_entries(1);
+        let ir = small_jtl_ir();
+        let canon = ir.canonical_bytes().len();
+        let padded = vec![b' '; 2 * canon + 1];
+        cache.get_or_compile(&ir).unwrap();
+        cache.get_or_compile_spelled(&ir, &padded).unwrap();
+        assert_eq!(cache.spellings(), (0, 0), "longer than twice the canon");
+        let fits = &padded[..2 * canon];
+        cache.get_or_compile_spelled(&ir, fits).unwrap();
+        assert_eq!(cache.spellings(), (1, 2 * canon));
+        let mut other = ir.clone();
+        if let super::super::IrNode::Source { pulses } = &mut other.nodes[0] {
+            pulses[0] += 1.0;
+        }
+        cache.get_or_compile(&other).unwrap(); // evicts `ir`
+        assert_eq!(cache.spellings(), (0, 0));
+        assert!(cache.get_spelled(fits).is_none());
+    }
+
+    #[test]
+    fn spelling_keys_spread_over_every_length_class() {
+        let text: Vec<u8> = (0..200u8).collect();
+        let keys: std::collections::HashSet<u64> =
+            (0..text.len()).map(|n| spelling_key(&text[..n])).collect();
+        assert_eq!(keys.len(), text.len(), "every prefix keys differently");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +63,10 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// The top-level member whose value span is recorded, if any.
+    span_key: Option<&'a str>,
+    /// Byte span of the first top-level `span_key` member's value.
+    span: Option<Range<usize>>,
 }
 
 impl<'a> Parser<'a> {
@@ -289,7 +294,13 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            items.push((key, self.value()?));
+            self.skip_ws();
+            let start = self.pos;
+            let value = self.value()?;
+            if self.depth == 1 && self.span.is_none() && self.span_key == Some(key.as_str()) {
+                self.span = Some(start..self.pos);
+            }
+            items.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -339,17 +350,38 @@ impl JsonValue {
     /// Parse a complete JSON document; trailing non-whitespace is an
     /// error, as is array/object nesting deeper than [`MAX_DEPTH`] levels.
     pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
+        Self::parse_document(s, None).map(|(v, _)| v)
+    }
+
+    /// [`parse`](Self::parse), also reporting the byte span in `s` of the
+    /// value of the first top-level member named `key` (the member
+    /// [`get`](Self::get) returns), recorded during the same single pass.
+    /// The span is `None` when the document is not an object or has no
+    /// such member. The tree and every error are exactly `parse`'s.
+    pub fn parse_with_span(
+        s: &str,
+        key: &str,
+    ) -> Result<(JsonValue, Option<Range<usize>>), JsonError> {
+        Self::parse_document(s, Some(key))
+    }
+
+    fn parse_document(
+        s: &str,
+        span_key: Option<&str>,
+    ) -> Result<(JsonValue, Option<Range<usize>>), JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
+            span_key,
+            span: None,
         };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return p.err("trailing characters after document");
         }
-        Ok(v)
+        Ok((v, p.span))
     }
 
     /// Member `key` of an object, or `None` for non-objects / absent keys.
@@ -629,6 +661,33 @@ mod tests {
         assert!(id.starts_with("ab€ab€"));
         assert!(id.ends_with("zzz"));
         assert_eq!(id.matches("\né").count(), 1);
+    }
+
+    #[test]
+    fn member_span_covers_the_first_top_level_value() {
+        let line = r#"{"kind":"simulate", "ir" :  {"ir":[1, 2]} ,"ir":3,"x":{"ir":4}}"#;
+        let (v, span) = JsonValue::parse_with_span(line, "ir").unwrap();
+        assert_eq!(v, JsonValue::parse(line).unwrap());
+        let span = span.unwrap();
+        assert_eq!(&line[span.clone()], r#"{"ir":[1, 2]}"#);
+        assert_eq!(
+            JsonValue::parse(&line[span]).unwrap(),
+            *v.get("ir").unwrap()
+        );
+        // Nested members, non-objects and absent keys report no span.
+        for doc in [r#"{"x":{"ir":1}}"#, r#"[{"ir":1}]"#, r#""ir""#, "{}"] {
+            assert_eq!(JsonValue::parse_with_span(doc, "ir").unwrap().1, None, "{doc}");
+        }
+        // A scalar value's span is just its token.
+        let (_, span) = JsonValue::parse_with_span(r#"{"ir":-1.5e3}"#, "ir").unwrap();
+        assert_eq!(span, Some(6..12));
+        // Errors are parse's, byte for byte.
+        for bad in [r#"{"ir":{"a":}}"#, r#"{"ir":1} x"#, r#"{"ir""#] {
+            assert_eq!(
+                JsonValue::parse_with_span(bad, "ir").unwrap_err(),
+                JsonValue::parse(bad).unwrap_err()
+            );
+        }
     }
 
     /// A string mixing every class the parser and writer treat

@@ -263,13 +263,18 @@ pub(crate) fn pop_batch(
 /// ```
 #[derive(Debug)]
 pub struct Simulation {
-    circuit: Circuit,
+    /// The circuit, for simulations built from one (`None` for
+    /// [`from_compiled`](Simulation::from_compiled)). Runs read only its
+    /// hole closures; everything else comes from `compiled`.
+    circuit: Option<Circuit>,
     /// Built lazily on first `reset`/`run` and retained for the lifetime of
     /// the simulation (the circuit is immutable while owned here), so sweep
     /// workers compile once per circuit, not per trial. Held behind an
     /// `Arc` so a shared compiled form (e.g. from an
     /// [`ir::CompiledCache`](crate::ir::CompiledCache)) can be injected with
-    /// [`with_compiled`](Simulation::with_compiled) instead of recompiled.
+    /// [`with_compiled`](Simulation::with_compiled) or
+    /// [`from_compiled`](Simulation::from_compiled) instead of recompiled.
+    /// At least one of `circuit` and `compiled` is always present.
     compiled: Option<Arc<CompiledCircuit>>,
     until: Option<Time>,
     variability: Option<Variability>,
@@ -307,9 +312,13 @@ impl Simulation {
     /// Create a simulation over `circuit` with no target time and no
     /// variability.
     pub fn new(circuit: Circuit) -> Self {
+        Self::build(Some(circuit), None)
+    }
+
+    fn build(circuit: Option<Circuit>, compiled: Option<Arc<CompiledCircuit>>) -> Self {
         Simulation {
             circuit,
-            compiled: None,
+            compiled,
             until: None,
             variability: None,
             seed: 0xC0FFEE,
@@ -338,9 +347,27 @@ impl Simulation {
     /// `circuit` (same nodes, wires, and machine specs in the same order);
     /// the cache guarantees this by keying on the IR's canonical bytes.
     pub fn with_compiled(circuit: Circuit, compiled: Arc<CompiledCircuit>) -> Self {
-        let mut sim = Self::new(circuit);
-        sim.compiled = Some(compiled);
-        sim
+        Self::build(Some(circuit), Some(compiled))
+    }
+
+    /// Create a simulation that runs straight from compiled tables, with no
+    /// [`Circuit`] at all — the cache-hit path of a served `simulate`. The
+    /// tables carry everything a run of a hole-free circuit reads: dispatch
+    /// tables, stimulus schedule, wire names, observed flags and the
+    /// [`Circuit::check`] verdict, so a run answers exactly as a run of the
+    /// circuit they were compiled from.
+    ///
+    /// # Panics
+    ///
+    /// If the compiled circuit has a behavioral hole: a hole's closure
+    /// lives only in its [`Circuit`] (use
+    /// [`with_compiled`](Self::with_compiled)).
+    pub fn from_compiled(compiled: Arc<CompiledCircuit>) -> Self {
+        assert!(
+            !compiled.has_holes(),
+            "Simulation::from_compiled needs a hole-free circuit"
+        );
+        Self::build(None, Some(compiled))
     }
 
     /// Simulate only until the given time. Required when the circuit has
@@ -406,10 +433,14 @@ impl Simulation {
     /// simulation has not yet run. The compiled form is cached for the
     /// simulation's lifetime.
     pub fn compiled(&mut self) -> &CompiledCircuit {
-        if self.compiled.is_none() {
-            self.compiled = Some(Arc::new(CompiledCircuit::compile(&self.circuit)));
-        }
-        self.compiled.as_deref().expect("just compiled")
+        let Simulation {
+            circuit, compiled, ..
+        } = self;
+        compiled.get_or_insert_with(|| {
+            Arc::new(CompiledCircuit::compile(
+                circuit.as_ref().expect("a simulation without tables has a circuit"),
+            ))
+        })
     }
 
     /// Restore the simulation to its pre-run state so it can be run again:
@@ -425,9 +456,7 @@ impl Simulation {
     pub fn reset(&mut self) {
         self.trace.clear();
         self.heap.clear();
-        if self.compiled.is_none() {
-            self.compiled = Some(Arc::new(CompiledCircuit::compile(&self.circuit)));
-        }
+        self.compiled();
         let cc = self.compiled.as_deref().expect("compiled above");
         let n_nodes = cc.nodes.len();
         self.states.clear();
@@ -439,7 +468,7 @@ impl Simulation {
         }));
         self.theta.clear();
         self.theta.resize(cc.theta_len, f64::NEG_INFINITY);
-        let n_wires = self.circuit.wires.len();
+        let n_wires = cc.wire_name.len();
         if self.wire_events.len() != n_wires {
             self.wire_events.resize_with(n_wires, Vec::new);
         }
@@ -487,13 +516,9 @@ impl Simulation {
         &self.trace
     }
 
-    /// Borrow the circuit under simulation.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// Take the circuit back out of the simulation.
-    pub fn into_circuit(self) -> Circuit {
+    /// Take the circuit back out of the simulation: `None` for a
+    /// simulation built [`from_compiled`](Self::from_compiled) tables.
+    pub fn into_circuit(self) -> Option<Circuit> {
         self.circuit
     }
 
@@ -506,11 +531,12 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Timing`] if any cell detects a transition-time or
-    /// past-constraint violation, with a Figure-13-style diagnostic, or
-    /// [`Error::Hole`] if a hole returns the wrong number of outputs.
+    /// Returns the [`Circuit::check`] verdict's [`Error::Wiring`] for an
+    /// ill-formed circuit, [`Error::Timing`] if any cell detects a
+    /// transition-time or past-constraint violation, with a
+    /// Figure-13-style diagnostic, or [`Error::Hole`] if a hole returns the
+    /// wrong number of outputs.
     pub fn run(&mut self) -> Result<Events, Error> {
-        self.circuit.check()?;
         // Telemetry state is hoisted out of the hot loop: one enabled check
         // per run, local u64 tallies while running, one flush at the end.
         let tel_on = self.telemetry.is_enabled();
@@ -519,6 +545,8 @@ impl Simulation {
         } else {
             None
         };
+        // The check verdict was taken once, at compile time.
+        self.compiled().check.clone()?;
         self.reset();
         if let Some(t0) = t_compile {
             self.telemetry.record_span("sim.compile", self.tel_track, t0, 0);
@@ -694,6 +722,9 @@ impl Simulation {
                     }
                 }
                 CompiledNode::Hole { in_syms, out_syms } => {
+                    let circuit = circuit
+                        .as_mut()
+                        .expect("from_compiled rejects hole circuits");
                     let NodeKind::Hole(hole) = &mut circuit.nodes[node].kind else {
                         unreachable!("compiled node kind matches circuit node kind")
                     };
@@ -825,7 +856,7 @@ impl Simulation {
         for evs in wire_events.iter_mut() {
             evs.sort_by(f64::total_cmp);
         }
-        Ok(Events::from_wires(circuit, wire_events))
+        Ok(Events::from_wires(cc, wire_events))
     }
 }
 

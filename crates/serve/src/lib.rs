@@ -63,6 +63,7 @@ use rlse_core::prelude::*;
 use rlse_ta::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
+use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
 /// Per-request resource caps. A request may ask for less than any cap but
@@ -283,6 +284,16 @@ fn elapsed_us(t: Instant) -> u64 {
     t.elapsed().as_micros() as u64
 }
 
+/// The message a panic was raised with (`panic!` formats to a `String`,
+/// a literal message is a `&str`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic")
+}
+
 impl<E: std::fmt::Display> From<E> for RequestError {
     fn from(e: E) -> Self {
         RequestError(e.to_string())
@@ -472,7 +483,8 @@ impl Server {
 
     /// Answer one request line with one compact JSON response line (no
     /// trailing newline). Parse and dispatch failures become
-    /// `"ok":false` responses, never panics.
+    /// `"ok":false` responses, never panics; so does a panic inside a
+    /// handler, as `"error":"internal: <message>"`.
     pub fn handle_line(&self, line: &str) -> String {
         self.handle_recorded(line).0
     }
@@ -485,32 +497,42 @@ impl Server {
         let t_total = Instant::now();
         let mut ctx = ReqCtx::new();
         let t_parse = Instant::now();
-        let parsed = JsonValue::parse(line);
+        let parsed = JsonValue::parse_with_span(line, "ir");
         let parse_us = elapsed_us(t_parse);
         let mut tenant = None;
         let t_run = Instant::now();
         let (id, kind, body) = match parsed {
-            Ok(req) => {
+            Ok((req, ir_span)) => {
                 tenant = req
                     .get("tenant")
                     .and_then(JsonValue::as_str)
                     .map(String::from);
                 let id = req.get("id").and_then(JsonValue::as_str).map(String::from);
-                let kind = req
-                    .get("kind")
-                    .and_then(JsonValue::as_str)
-                    .map(String::from);
-                match kind.as_deref() {
-                    Some("simulate") => (id, kind, self.simulate(&req, &mut ctx)),
-                    Some("sweep") => (id, kind, self.sweep(&req, &mut ctx)),
-                    Some("shmoo") => (id, kind, self.shmoo(&req, &mut ctx)),
-                    Some("model_check") => (id, kind, self.model_check(&req, &mut ctx)),
-                    Some("ping") => (id, kind, Ok(Vec::new())),
-                    Some(other) => (
-                        id,
-                        None,
-                        Err(RequestError(format!("unknown request kind '{other}'"))),
-                    ),
+                let ir_raw = ir_span.map(|span| &line[span]);
+                match req.get("kind").and_then(JsonValue::as_str) {
+                    Some(kind) => {
+                        // A panic anywhere in a handler becomes this
+                        // request's error line, and the worker serves on.
+                        let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            self.dispatch(kind, &req, ir_raw, &mut ctx)
+                        }));
+                        match handled {
+                            Ok(Some(body)) => (id, Some(kind.to_string()), body),
+                            Ok(None) => (
+                                id,
+                                None,
+                                Err(RequestError(format!("unknown request kind '{kind}'"))),
+                            ),
+                            Err(panic) => (
+                                id,
+                                Some(kind.to_string()),
+                                Err(RequestError(format!(
+                                    "internal: {}",
+                                    panic_message(panic.as_ref())
+                                ))),
+                            ),
+                        }
+                    }
                     None => (id, None, Err(RequestError("request needs a 'kind'".into()))),
                 }
             }
@@ -588,12 +610,38 @@ impl Server {
         sched::serve_pipeline(self, input, output, observer, self.workers)
     }
 
+    /// Run the handler for request `kind` on the parsed request, whose
+    /// `"ir"` member (if any) reads `ir_raw` in the request line; `None`
+    /// for an unknown kind.
+    fn dispatch(
+        &self,
+        kind: &str,
+        req: &JsonValue,
+        ir_raw: Option<&str>,
+        ctx: &mut ReqCtx,
+    ) -> Option<Result<Vec<(String, JsonValue)>, RequestError>> {
+        Some(match kind {
+            "simulate" => self.simulate(req, ir_raw, ctx),
+            "sweep" => self.sweep(req, ctx),
+            "shmoo" => self.shmoo(req, ctx),
+            "model_check" => self.model_check(req, ctx),
+            "ping" => Ok(Vec::new()),
+            // The fault the panic-isolation tests inject.
+            #[cfg(test)]
+            "test_panic" => panic!("injected test panic"),
+            _ => return None,
+        })
+    }
+
     /// Decode the request's already-parsed `"ir"` field and resolve it
     /// through the cache, timing the lookup/compile and recording the hash
-    /// and hit/miss for the access log.
+    /// and hit/miss for the access log. With the field's raw text
+    /// `spelling`, a hit also admits that text to the cache's spelling
+    /// index.
     fn load_ir(
         &self,
         req: &JsonValue,
+        spelling: Option<&str>,
         ctx: &mut ReqCtx,
     ) -> Result<(Ir, rlse_core::ir::CacheOutcome), RequestError> {
         let ir_val = req
@@ -601,7 +649,10 @@ impl Server {
             .ok_or_else(|| RequestError("request needs an 'ir' object".into()))?;
         let ir = Ir::from_value(ir_val)?;
         let t0 = Instant::now();
-        let outcome = self.cache.get_or_compile(&ir);
+        let outcome = match spelling {
+            Some(raw) => self.cache.get_or_compile_spelled(&ir, raw.as_bytes()),
+            None => self.cache.get_or_compile(&ir),
+        };
         ctx.cache_us += elapsed_us(t0);
         let outcome = outcome?;
         ctx.hash = Some(outcome.hash);
@@ -609,13 +660,30 @@ impl Server {
         Ok((ir, outcome))
     }
 
+    /// A byte-identical repeat of an `ir` seen on a cache hit before is
+    /// found by its raw text and runs straight from the cached tables;
+    /// anything else takes the decode → canonical lookup path.
     fn simulate(
         &self,
         req: &JsonValue,
+        ir_raw: Option<&str>,
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
-        let (_ir, outcome) = self.load_ir(req, ctx)?;
-        let mut sim = Simulation::with_compiled(outcome.circuit, outcome.compiled);
+        let t0 = Instant::now();
+        let spelled = ir_raw.and_then(|raw| self.cache.get_spelled(raw.as_bytes()));
+        ctx.cache_us += elapsed_us(t0);
+        let (hash, mut sim) = match spelled {
+            Some((hash, compiled)) => {
+                ctx.hash = Some(hash);
+                ctx.cache_hit = Some(true);
+                (hash, Simulation::from_compiled(compiled))
+            }
+            None => {
+                let (_ir, outcome) = self.load_ir(req, ir_raw, ctx)?;
+                let sim = Simulation::with_compiled(outcome.circuit, outcome.compiled);
+                (outcome.hash, sim)
+            }
+        };
         sim.set_telemetry(&ctx.tel);
         let requested = req.get("until").and_then(JsonValue::as_f64);
         let until = requested.unwrap_or(f64::INFINITY).min(self.opts.max_until);
@@ -633,7 +701,7 @@ impl Server {
         }
         let events = sim.run()?;
         Ok(vec![
-            ("hash".into(), hex_hash(outcome.hash)),
+            ("hash".into(), hex_hash(hash)),
             ("events".into(), events_obj(&events)),
             ("telemetry".into(), telemetry_obj(&ctx.tel.report())),
         ])
@@ -644,7 +712,7 @@ impl Server {
         req: &JsonValue,
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
-        let (ir, outcome) = self.load_ir(req, ctx)?;
+        let (ir, outcome) = self.load_ir(req, None, ctx)?;
         let requested_trials = req
             .get("trials")
             .and_then(JsonValue::as_f64)
@@ -819,7 +887,7 @@ impl Server {
         req: &JsonValue,
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
-        let (ir, outcome) = self.load_ir(req, ctx)?;
+        let (ir, outcome) = self.load_ir(req, None, ctx)?;
         let req_states = req.get("max_states").and_then(JsonValue::as_usize);
         let max_states = req_states
             .unwrap_or(self.opts.max_states)
@@ -1121,6 +1189,49 @@ mod tests {
             ir.to_value().to_compact()
         );
         assert!(server.handle_line(&line).contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_in_order_and_serving_continues() {
+        let good = format!(
+            "{{\"id\":\"sim\",\"kind\":\"simulate\",\"ir\":{}}}",
+            rlse_designs::design_ir("min_max", 1.0).to_value().to_compact()
+        );
+        let boom = "{\"id\":\"boom\",\"kind\":\"test_panic\"}";
+        let ping = "{\"id\":\"ping\",\"kind\":\"ping\"}";
+        let lines = [ping, boom, &good, boom, boom, &good, ping, boom];
+        let want_good = Server::new(ServeOptions::default()).handle_line(&good);
+        let want_boom =
+            "{\"id\":\"boom\",\"kind\":\"test_panic\",\"ok\":false,\"error\":\"internal: injected test panic\"}";
+        for workers in [1, 4] {
+            let server = Server::new(ServeOptions {
+                workers,
+                ..Default::default()
+            });
+            let mut out = Vec::new();
+            let summary = server
+                .serve_observed(
+                    lines.join("\n").as_bytes(),
+                    &mut out,
+                    &mut Observer::disabled(),
+                )
+                .unwrap();
+            let out = String::from_utf8(out).unwrap();
+            let got: Vec<&str> = out.lines().collect();
+            assert_eq!(got.len(), lines.len(), "one response per line");
+            for (line, resp) in lines.iter().zip(&got) {
+                let want = match *line {
+                    l if l == boom => want_boom,
+                    l if l == ping => "{\"id\":\"ping\",\"kind\":\"ping\",\"ok\":true}",
+                    _ => want_good.as_str(),
+                };
+                assert_eq!(*resp, want, "workers={workers}");
+            }
+            assert_eq!((summary.requests, summary.errors), (8, 4));
+            assert_eq!(summary.kinds["test_panic"].errors, 4);
+            // The workers survived: the server keeps serving.
+            assert_eq!(server.handle_line(&good), want_good);
+        }
     }
 
     #[test]

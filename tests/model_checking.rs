@@ -44,7 +44,7 @@ fn every_basic_cell_passes_both_queries() {
         let circ = cell_circuit(name).unwrap();
         let mut sim = Simulation::new(circ);
         let events = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let circ = sim.into_circuit();
+        let circ = sim.into_circuit().unwrap();
         let expected: Vec<(String, Vec<f64>)> = circ
             .output_wires()
             .into_iter()
@@ -84,7 +84,7 @@ fn parallel_and_sequential_checks_agree_on_every_cell() {
         let circ = cell_circuit(name).unwrap();
         let mut sim = Simulation::new(circ);
         let events = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let circ = sim.into_circuit();
+        let circ = sim.into_circuit().unwrap();
         let expected: Vec<(String, Vec<f64>)> = circ
             .output_wires()
             .into_iter()

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use rlse::core::circuit::NodeId;
+use rlse::core::compiled::CompiledCircuit;
 use rlse::core::machine::{Config, InputId, Machine};
 use rlse::core::sweep::{trial_seed, Sweep, TrialVerdict};
 use rlse::core::telemetry::Telemetry;
@@ -259,6 +260,43 @@ fn assert_sweep_matches_reference(build: impl Fn() -> Circuit + Sync) {
     assert_eq!(got.cells, want.cells);
 }
 
+/// `Simulation::from_compiled` on a circuit's compiled tables answers
+/// exactly as `Simulation::new` on the circuit, run for run under the same
+/// horizon, variability and seed: the same named and all-wire events, the
+/// same error (timing diagnostics and check verdicts included), and the
+/// same telemetry counters, peaks and per-cell tallies.
+fn assert_from_compiled_matches_new(
+    build: impl Fn() -> Circuit,
+    until: Option<f64>,
+    variability: impl Fn() -> Option<Variability>,
+    seed: u64,
+) {
+    let runs = |mut sim: Simulation| {
+        let tel = Telemetry::new();
+        sim.set_telemetry(&tel);
+        sim.set_until(until);
+        sim.set_variability(variability());
+        sim.set_seed(seed);
+        // A rerun of the same simulation reuses its tables and buffers.
+        let runs = [sim.run(), sim.run()];
+        (runs, tel.report())
+    };
+    let (direct, direct_tel) = runs(Simulation::new(build()));
+    let compiled = Arc::new(CompiledCircuit::compile(&build()));
+    let (cached, cached_tel) = runs(Simulation::from_compiled(compiled));
+    for (d, c) in direct.iter().zip(&cached) {
+        match (d, c) {
+            (Ok(d), Ok(c)) => {
+                assert!(d.iter().eq(c.iter()), "named events differ");
+                assert!(d.iter_all().eq(c.iter_all()), "all-wire events differ");
+            }
+            (Err(d), Err(c)) => assert_eq!(d, c),
+            (d, c) => panic!("new gave {d:?}, from_compiled gave {c:?}"),
+        }
+    }
+    assert_eq!(direct_tel, cached_tel);
+}
+
 #[test]
 fn reference_matches_simulator_on_min_max() {
     let build = || {
@@ -315,5 +353,43 @@ proptest! {
         let b = random_circuit(&picks, n_in);
         assert_equivalent(a, b);
         assert_sweep_matches_reference(|| random_circuit(&picks, n_in));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Running from compiled tables alone equals running the circuit, on
+    /// random circuits under every horizon, jitter and seed — including
+    /// circuits that fail `Circuit::check` (a duplicated observed name).
+    #[test]
+    fn from_compiled_matches_new_on_random_circuits(
+        picks in proptest::collection::vec(0u8..8, 1..24),
+        n_in in 1usize..5,
+        knobs in (0usize..5, 0usize..4, 0u8..2, 0u8..10),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (until_pick, sigma_pick, per_cell, duplicate_pick) = knobs;
+        let until = [None, Some(20.0), Some(95.0), Some(180.0), Some(400.0)][until_pick];
+        let sigma = [None, Some(0.0), Some(0.2), Some(1.5)][sigma_pick];
+        let duplicate_name = duplicate_pick == 0;
+        let build = || {
+            let mut c = random_circuit(&picks, n_in);
+            if duplicate_name {
+                c.inp_at(&[1.0], "I0");
+            }
+            c
+        };
+        let variability = || {
+            sigma.map(|std| {
+                if per_cell == 1 {
+                    let map = [("C".to_string(), std), ("JTL".to_string(), 2.0 * std)];
+                    Variability::PerCellType(map.into_iter().collect())
+                } else {
+                    Variability::Gaussian { std }
+                }
+            })
+        };
+        assert_from_compiled_matches_new(build, until, variability, seed);
     }
 }
