@@ -40,6 +40,12 @@
 //! hit (the same circuit re-spelled, found by IR decode and canonical
 //! hash) and a miss (a fresh server compiles it).
 //!
+//! The `cache_miss_path` section prices one compiled-cache miss on a cache
+//! already full, so every miss also evicts: `CompiledCache::get_or_compile`
+//! of a never-seen min_max circuit at caps 64, 1,024 and 16,384, one miss
+//! per cap in turn. Equal rows are the evidence that eviction does not
+//! grow with the cache.
+//!
 //! Allocation counts come from a counting global allocator and cover the
 //! whole `run()` call, including the per-run `Events` materialization at the
 //! boundary; the interesting signal is the per-event marginal cost.
@@ -542,6 +548,66 @@ fn measure_serve_hit_path(name: &'static str) -> HitPathRow {
     }
 }
 
+/// One `cache_miss_path` row: the per-miss timings of a cache held full
+/// at `cap` entries.
+struct MissRow {
+    cap: usize,
+    samples_ns: Vec<f64>,
+}
+
+impl MissRow {
+    fn json(&mut self) -> String {
+        let median = median_ns(&mut self.samples_ns);
+        format!(
+            "{{\"cap\": {}, \"n\": {}, \"median_us\": {:.1}, \"min_us\": {:.1}}}",
+            self.cap,
+            self.samples_ns.len(),
+            median / 1e3,
+            self.samples_ns[0] / 1e3
+        )
+    }
+}
+
+/// Fill one cache per cap with distinct min_max circuits, then time
+/// `misses` further never-seen circuits on each, interleaved cap by cap.
+fn measure_cache_miss_path(caps: &[usize], misses: usize) -> Vec<MissRow> {
+    use rlse_core::ir::CompiledCache;
+    // Time-scales 1e-6 apart give distinct circuits of the same shape.
+    let circuit = |i: usize| rlse_designs::design_ir("min_max", 1.0 + i as f64 * 1e-6);
+    let caches: Vec<CompiledCache> = caps
+        .iter()
+        .map(|&cap| {
+            let cache = CompiledCache::new().with_max_entries(cap);
+            for i in 0..cap {
+                cache.get_or_compile(&circuit(i)).unwrap();
+            }
+            assert_eq!(cache.len(), cap);
+            cache
+        })
+        .collect();
+    let fresh = caps.iter().max().copied().unwrap_or(0);
+    let mut rows: Vec<MissRow> = caps
+        .iter()
+        .map(|&cap| MissRow {
+            cap,
+            samples_ns: Vec::with_capacity(misses),
+        })
+        .collect();
+    for i in fresh..fresh + misses {
+        let ir = circuit(i);
+        for (cache, row) in caches.iter().zip(&mut rows) {
+            let t0 = Instant::now();
+            let got = cache.get_or_compile(&ir).unwrap();
+            row.samples_ns.push(t0.elapsed().as_secs_f64() * 1e9);
+            assert!(!got.hit);
+        }
+    }
+    for (cache, row) in caches.iter().zip(&rows) {
+        assert_eq!((cache.len(), cache.misses()), (row.cap, (row.cap + misses) as u64));
+    }
+    rows
+}
+
 /// Telemetry overhead on the reused bitonic_8 workload: median run time
 /// with no handle attached, with a disabled handle, and with an enabled
 /// handle. The first two must be indistinguishable (the disabled handle is
@@ -745,6 +811,8 @@ fn main() {
         .into_iter()
         .map(measure_serve_hit_path)
         .collect();
+    const MISSES: usize = 2000;
+    let mut miss_rows = measure_cache_miss_path(&[64, 1024, 16_384], MISSES);
 
     // Hand-rolled JSON (the workspace deliberately has no serde dependency).
     let mut out = String::new();
@@ -899,6 +967,16 @@ fn main() {
             r.miss.json(),
             if i + 1 == hit_path_rows.len() { "" } else { "," }
         ));
+    }
+    out.push_str("  ]},\n");
+    out.push_str(&format!(
+        "  \"cache_miss_path\": {{\"host_cores\": {host_cores}, \"design\": \"min_max\", \
+         \"rows\": [\n"
+    ));
+    let n_rows = miss_rows.len();
+    for (i, r) in miss_rows.iter_mut().enumerate() {
+        let sep = if i + 1 == n_rows { "" } else { "," };
+        out.push_str(&format!("    {}{sep}\n", r.json()));
     }
     out.push_str("  ]},\n");
     let disabled_pct = 100.0 * (overhead.disabled_ns - overhead.off_ns) / overhead.off_ns;

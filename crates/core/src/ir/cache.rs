@@ -20,11 +20,14 @@
 //!   and the `ir_cache.singleflight_waits` telemetry counter). If the
 //!   compiling caller panics, waiters wake and retry — one of them becomes
 //!   the new leader — so a poisoned flight can never strand the queue.
-//! * **Global LRU** — the entry cap is enforced across all shards: the
-//!   eviction path briefly locks every shard (in index order) and removes
-//!   the globally least-recently-used entry. Eviction is the rare slow path
-//!   by construction, so the full sweep does not affect steady-state
-//!   lookups.
+//! * **Global LRU** — the entry cap is enforced across all shards. Every
+//!   lookup stamps its entry from one atomic counter, and each shard keeps
+//!   its entries ordered by stamp (stamp → hash), so the oldest entry of a
+//!   shard is the head of that index. The eviction path briefly locks every
+//!   shard (in index order) and removes the smallest of the 16 heads:
+//!   stamps are unique, so that is exactly the globally least-recently-used
+//!   entry, found in O(log n) whatever the cache's size. A cache fed a
+//!   stream of distinct circuits evicts on every miss.
 //! * **Spelling index** — a repeated request usually carries its IR as the
 //!   very same JSON text. [`get_spelled`](CompiledCache::get_spelled) finds
 //!   an entry by those raw bytes, skipping IR decode, circuit rebuild and
@@ -43,7 +46,7 @@ use crate::circuit::Circuit;
 use crate::compiled::CompiledCircuit;
 use crate::telemetry::Telemetry;
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -169,10 +172,33 @@ impl Drop for FlightGuard<'_> {
 #[derive(Default)]
 struct Shard {
     entries: HashMap<u64, Vec<Entry>>,
+    /// Every entry's `last_used` stamp → its hash, oldest first: the
+    /// shard's LRU order. Stamps are unique, so its length is the shard's
+    /// entry count.
+    lru: BTreeMap<u64, u64>,
     flights: HashMap<u64, Arc<Flight>>,
 }
 
-type SidecarShard = HashMap<(u64, TypeId), Arc<dyn Any + Send + Sync>>;
+impl Shard {
+    /// The entry under `hash` that `is_it` picks, restamped as used at
+    /// `stamp`.
+    fn touch(
+        &mut self,
+        hash: u64,
+        stamp: u64,
+        is_it: impl Fn(&Entry) -> bool,
+    ) -> Option<&mut Entry> {
+        let e = self.entries.get_mut(&hash)?.iter_mut().find(|e| is_it(e))?;
+        self.lru.remove(&e.last_used);
+        self.lru.insert(stamp, hash);
+        e.last_used = stamp;
+        Some(e)
+    }
+}
+
+/// Sidecars by content hash, then by type: evicting a hash drops all of
+/// its sidecars in one removal.
+type SidecarShard = HashMap<u64, HashMap<TypeId, Arc<dyn Any + Send + Sync>>>;
 
 /// Spellings by [`spelling_key`]; a bucket holds at most one spelling per
 /// entry, so its length is bounded by the entry count.
@@ -321,11 +347,7 @@ impl CompiledCache {
         // may have been evicted since: that is a miss.
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
         self.shard(hash)
-            .entries
-            .get_mut(&hash)?
-            .iter_mut()
-            .find(|e| Arc::ptr_eq(&e.compiled, &compiled))?
-            .last_used = stamp;
+            .touch(hash, stamp, |e| Arc::ptr_eq(&e.compiled, &compiled))?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add("ir_cache.hits", 1);
         Some((hash, compiled))
@@ -386,18 +408,12 @@ impl CompiledCache {
             let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
             let flight = {
                 let mut shard = self.shard(hash);
-                if let Some(found) = shard
-                    .entries
-                    .get_mut(&hash)
-                    .and_then(|bucket| bucket.iter_mut().find(|e| e.canon == canon))
-                    .map(|e| {
-                        e.last_used = stamp;
-                        if let Some(raw) = raw {
-                            self.admit_spelling(hash, e, raw);
-                        }
-                        Arc::clone(&e.compiled)
-                    })
-                {
+                if let Some(found) = shard.touch(hash, stamp, |e| e.canon == canon).map(|e| {
+                    if let Some(raw) = raw {
+                        self.admit_spelling(hash, e, raw);
+                    }
+                    Arc::clone(&e.compiled)
+                }) {
                     drop(shard);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.add("ir_cache.hits", 1);
@@ -455,15 +471,8 @@ impl CompiledCache {
                 let mut shard = self.shard(hash);
                 // A racing hash-collision compile of the same canon may
                 // have inserted while we worked; keep theirs.
-                match shard
-                    .entries
-                    .get_mut(&hash)
-                    .and_then(|bucket| bucket.iter_mut().find(|e| e.canon == canon))
-                {
-                    Some(e) => {
-                        e.last_used = stamp;
-                        Arc::clone(&e.compiled)
-                    }
+                match shard.touch(hash, stamp, |e| e.canon == canon) {
+                    Some(e) => Arc::clone(&e.compiled),
                     None => {
                         shard.entries.entry(hash).or_default().push(Entry {
                             canon,
@@ -471,6 +480,7 @@ impl CompiledCache {
                             last_used: stamp,
                             spelling: None,
                         });
+                        shard.lru.insert(stamp, hash);
                         self.count.fetch_add(1, Ordering::Relaxed);
                         compiled
                     }
@@ -493,9 +503,9 @@ impl CompiledCache {
 
     /// Evict globally least-recently-used entries until at most `cap`
     /// remain. Locks every shard (in index order — the only multi-shard
-    /// lock path, so it cannot deadlock against single-shard users); a
-    /// victim's spelling goes with it, and once its hash bucket empties,
-    /// its sidecars go too.
+    /// lock path, so it cannot deadlock against single-shard users) and
+    /// takes the smallest head of their LRU indexes; a victim's spelling
+    /// goes with it, and once its hash bucket empties, its sidecars go too.
     fn enforce_cap(&self, cap: usize) {
         if self.count.load(Ordering::Relaxed) <= cap {
             return;
@@ -506,30 +516,27 @@ impl CompiledCache {
             .map(|m| m.lock().expect("compiled cache poisoned"))
             .collect();
         loop {
-            let total: usize = shards
-                .iter()
-                .map(|s| s.entries.values().map(Vec::len).sum::<usize>())
-                .sum();
+            let total: usize = shards.iter().map(|s| s.lru.len()).sum();
             self.count.store(total, Ordering::Relaxed);
             if total <= cap {
                 return;
             }
-            let victim = shards
+            let Some((_, si)) = shards
                 .iter()
                 .enumerate()
-                .flat_map(|(si, shard)| {
-                    shard.entries.iter().flat_map(move |(&h, bucket)| {
-                        bucket
-                            .iter()
-                            .enumerate()
-                            .map(move |(i, e)| (e.last_used, si, h, i))
-                    })
-                })
-                .min();
-            let Some((_, si, h, i)) = victim else { return };
-            let bucket = shards[si].entries.get_mut(&h).expect("victim bucket exists");
+                .filter_map(|(si, s)| s.lru.first_key_value().map(|(&stamp, _)| (stamp, si)))
+                .min()
+            else {
+                return;
+            };
+            let shard = &mut *shards[si];
+            let (stamp, h) = shard.lru.pop_first().expect("victim shard is nonempty");
+            let bucket = shard.entries.get_mut(&h).expect("indexed entry exists");
+            let i = bucket
+                .iter()
+                .position(|e| e.last_used == stamp)
+                .expect("indexed entry exists");
             let victim = bucket.remove(i);
-            self.count.fetch_sub(1, Ordering::Relaxed);
             if let Some(key) = victim.spelling {
                 let mut index = self.spelling_shard(key);
                 if let Some(spellings) = index.get_mut(&key) {
@@ -540,8 +547,8 @@ impl CompiledCache {
                 }
             }
             if bucket.is_empty() {
-                shards[si].entries.remove(&h);
-                self.sidecar_shard(h).retain(|&(sh, _), _| sh != h);
+                shard.entries.remove(&h);
+                self.sidecar_shard(h).remove(&h);
             }
             self.telemetry.add("ir_cache.evictions", 1);
         }
@@ -550,7 +557,11 @@ impl CompiledCache {
     /// A typed artifact previously stored for `hash` (e.g. an analog
     /// template bank), if present.
     pub fn sidecar<T: Any + Send + Sync>(&self, hash: u64) -> Option<Arc<T>> {
-        let got = self.sidecar_shard(hash).get(&(hash, TypeId::of::<T>())).cloned();
+        let got = self
+            .sidecar_shard(hash)
+            .get(&hash)
+            .and_then(|by_type| by_type.get(&TypeId::of::<T>()))
+            .cloned();
         match got {
             Some(v) => {
                 self.telemetry.add("ir_cache.sidecar_hits", 1);
@@ -567,21 +578,16 @@ impl CompiledCache {
     /// the same type.
     pub fn put_sidecar<T: Any + Send + Sync>(&self, hash: u64, value: Arc<T>) {
         self.sidecar_shard(hash)
-            .insert((hash, TypeId::of::<T>()), value);
+            .entry(hash)
+            .or_default()
+            .insert(TypeId::of::<T>(), value);
     }
 
     /// Number of distinct compiled circuits held.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|m| {
-                m.lock()
-                    .expect("compiled cache poisoned")
-                    .entries
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
+            .map(|m| m.lock().expect("compiled cache poisoned").lru.len())
             .sum()
     }
 
@@ -632,6 +638,7 @@ impl CompiledCache {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("compiled cache poisoned");
             shard.entries.clear();
+            shard.lru.clear();
         }
         for shard in &self.spellings {
             shard.lock().expect("spelling index poisoned").clear();
@@ -731,6 +738,141 @@ mod tests {
             "b's sidecar went with it"
         );
         assert!(tel.report().counter("ir_cache.evictions") >= 2);
+    }
+
+    /// The cache's observable behaviour under a linear scan for the
+    /// least-recently-used victim: the reference the ordered LRU index
+    /// must reproduce exactly.
+    struct LinearLru {
+        cap: usize,
+        tick: u64,
+        /// Hash → (last-used tick, admitted spelling).
+        entries: HashMap<u64, (u64, Option<Vec<u8>>)>,
+        sidecars: std::collections::HashSet<u64>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl LinearLru {
+        fn lookup(&mut self, hash: u64, canon_len: usize, raw: Option<&[u8]>) -> bool {
+            self.tick += 1;
+            if let Some((used, spelling)) = self.entries.get_mut(&hash) {
+                *used = self.tick;
+                if let Some(raw) = raw {
+                    if spelling.is_none() && raw.len() <= MAX_SPELLING_RATIO * canon_len {
+                        *spelling = Some(raw.to_vec());
+                    }
+                }
+                self.hits += 1;
+                return true;
+            }
+            self.entries.insert(hash, (self.tick, None));
+            while self.entries.len() > self.cap {
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (used, _))| *used)
+                    .map(|(&h, _)| h)
+                    .expect("nonempty over cap");
+                self.entries.remove(&victim);
+                self.sidecars.remove(&victim);
+            }
+            self.misses += 1;
+            false
+        }
+
+        fn get_spelled(&mut self, raw: &[u8]) -> Option<u64> {
+            let (&hash, entry) = self
+                .entries
+                .iter_mut()
+                .find(|(_, (_, spelling))| spelling.as_deref() == Some(raw))?;
+            self.tick += 1;
+            entry.0 = self.tick;
+            self.hits += 1;
+            Some(hash)
+        }
+
+        fn spellings(&self) -> (usize, usize) {
+            self.entries
+                .values()
+                .filter_map(|(_, spelling)| spelling.as_ref())
+                .fold((0, 0), |(n, bytes), s| (n + 1, bytes + s.len()))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn eviction_matches_a_linear_lru_scan(
+            cap in 1usize..7,
+            ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..3), 0..48),
+        ) {
+            let base = small_jtl_ir();
+            let irs: Vec<Ir> = (0..12)
+                .map(|t| {
+                    let mut ir = base.clone();
+                    if let super::super::IrNode::Source { pulses } = &mut ir.nodes[0] {
+                        for p in pulses.iter_mut() {
+                            *p += t as f64;
+                        }
+                    }
+                    ir
+                })
+                .collect();
+            let hashes: Vec<u64> = irs.iter().map(Ir::content_hash).collect();
+            let canon_len: Vec<usize> = irs.iter().map(|ir| ir.canonical_bytes().len()).collect();
+            // Three spellings per IR: pretty, compact, and one too long to
+            // admit.
+            let spellings: Vec<[Vec<u8>; 3]> = irs
+                .iter()
+                .zip(&canon_len)
+                .map(|(ir, &canon)| {
+                    let compact = ir.to_value().to_compact();
+                    let padded = format!("{compact}{}", " ".repeat(MAX_SPELLING_RATIO * canon));
+                    [ir.to_json().into_bytes(), compact.into_bytes(), padded.into_bytes()]
+                })
+                .collect();
+            let cache = CompiledCache::new().with_max_entries(cap);
+            let mut model = LinearLru {
+                cap,
+                tick: 0,
+                entries: HashMap::new(),
+                sidecars: Default::default(),
+                hits: 0,
+                misses: 0,
+            };
+            for &(op, k, v) in &ops {
+                let raw = &spellings[k][v];
+                match op {
+                    0 => {
+                        let got = cache.get_or_compile(&irs[k]).unwrap().hit;
+                        proptest::prop_assert_eq!(got, model.lookup(hashes[k], canon_len[k], None));
+                    }
+                    1 => {
+                        let got = cache.get_or_compile_spelled(&irs[k], raw).unwrap().hit;
+                        let want = model.lookup(hashes[k], canon_len[k], Some(raw));
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    2 => {
+                        let got = cache.get_spelled(raw).map(|(hash, _)| hash);
+                        proptest::prop_assert_eq!(got, model.get_spelled(raw));
+                    }
+                    _ => {
+                        cache.put_sidecar(hashes[k], Arc::new(k));
+                        model.sidecars.insert(hashes[k]);
+                    }
+                }
+                proptest::prop_assert_eq!(cache.len(), model.entries.len());
+                proptest::prop_assert_eq!(cache.spellings(), model.spellings());
+                let counts = (cache.hits(), cache.misses());
+                proptest::prop_assert_eq!(counts, (model.hits, model.misses));
+                for &h in &hashes {
+                    let held = cache.sidecar::<usize>(h).is_some();
+                    proptest::prop_assert_eq!(held, model.sidecars.contains(&h));
+                }
+            }
+        }
     }
 
     #[test]

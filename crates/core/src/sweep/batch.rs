@@ -519,49 +519,42 @@ pub(super) fn execute(
     let threads = sweep.effective_threads(n_blocks);
     let tel = &sweep.telemetry;
     let tel_on = tel.is_enabled();
-    let mut per_worker: Vec<Vec<BlockOut>> = Vec::new();
-    if n_blocks > 0 {
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut kernel = Kernel::new(plan, width, sweep.check.is_some());
-                        let t_worker = tel.now();
-                        let mut outs = Vec::new();
-                        let mut done = 0u64;
-                        // Deterministic round-robin deal: worker w gets
-                        // blocks w, w+T, w+2T, …
-                        let mut b = w;
-                        while b < n_blocks {
-                            let first_trial = (b * width) as u64;
-                            let lanes = width.min(sweep.trials as usize - b * width);
-                            outs.push(kernel.run_block(
-                                sweep,
-                                first_trial,
-                                lanes,
-                                want_outputs,
-                                tel_on,
-                            ));
-                            done += lanes as u64;
-                            b += threads;
-                        }
-                        if tel_on {
-                            kernel.counters.flush(tel, &plan.cc);
-                            if let Some(t0) = t_worker {
-                                tel.record_span("sweep.worker", w as u32 + 1, t0, done);
-                            }
-                        }
-                        outs
-                    })
-                })
-                .collect();
-            per_worker = handles
+    // Worker w runs blocks w, w+T, w+2T, … (a deterministic round-robin
+    // deal) on one reused kernel.
+    let work = |w: usize| {
+        let mut kernel = Kernel::new(&plan, width, sweep.check.is_some());
+        let t_worker = tel.now();
+        let mut outs = Vec::new();
+        let mut done = 0u64;
+        let mut b = w;
+        while b < n_blocks {
+            let first_trial = (b * width) as u64;
+            let lanes = width.min(sweep.trials as usize - b * width);
+            outs.push(kernel.run_block(sweep, first_trial, lanes, want_outputs, tel_on));
+            done += lanes as u64;
+            b += threads;
+        }
+        if tel_on {
+            kernel.counters.flush(tel, &plan.cc);
+            if let Some(t0) = t_worker {
+                tel.record_span("sweep.worker", w as u32 + 1, t0, done);
+            }
+        }
+        outs
+    };
+    let mut per_worker: Vec<Vec<BlockOut>> = match (n_blocks, threads) {
+        (0, _) => Vec::new(),
+        // One worker runs on the calling thread.
+        (_, 1) => vec![work(0)],
+        _ => std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || work(w))).collect();
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
-                .collect();
-        });
-    }
+                .collect()
+        }),
+    };
     // Stitch: global block b was worker (b mod T)'s next block, so
     // popping each worker's deque in deal order restores trial order.
     for outs in per_worker.iter_mut() {

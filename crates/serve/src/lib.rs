@@ -66,6 +66,12 @@ use std::io::{BufRead, Write};
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
+/// The longest request line served, in bytes, not counting its newline:
+/// 64 MiB. A longer line is discarded as it is read, never buffered whole,
+/// and answered in its place with one `"ok":false` line (kind `error`,
+/// counted in [`ServeSummary::errors`]).
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
 /// Per-request resource caps. A request may ask for less than any cap but
 /// never gets more.
 #[derive(Debug, Clone, Copy)]
@@ -592,10 +598,12 @@ impl Server {
     /// idle, and at end of batch. Response bytes never depend on the
     /// observer: pass [`Observer::disabled`] to serve without one.
     ///
-    /// Requests are handled by [`workers`](Self::workers) concurrent
-    /// request workers behind an in-order reorder buffer (internals in
-    /// DESIGN.md §16): responses and access records are emitted strictly
-    /// in input order, byte-identical at any worker count.
+    /// At one [worker](Self::workers) the calling thread handles each
+    /// request itself; at more, concurrent request workers run behind an
+    /// in-order reorder buffer (internals in DESIGN.md §16). Responses and
+    /// access records are emitted strictly in input order, byte-identical
+    /// at any worker count. A line longer than [`MAX_REQUEST_LINE_BYTES`]
+    /// is answered with an `"ok":false` line without being buffered.
     ///
     /// # Errors
     ///

@@ -1,7 +1,13 @@
-//! The deterministic concurrent request pipeline behind
+//! The deterministic request pipeline behind
 //! [`Server::serve_observed`](crate::Server::serve_observed).
 //!
 //! ```text
+//!  workers = 1:
+//!            ┌────────┐   bounded    ┌──────────────────────────────┐
+//!  input ──▶ │ reader │ ──────────▶  │ calling thread: handle, emit │ ──▶ output
+//!            │ thread │    queue     └──────────────────────────────┘
+//!            └────────┘
+//!  workers = N > 1:
 //!            ┌────────┐   bounded    ┌──────────┐  completion   ┌───────────┐
 //!  input ──▶ │ reader │ ──────────▶  │ worker×N │ ────────────▶ │ collector │ ──▶ output
 //!            │ thread │    queue     │   pool   │    channel    │ (reorder) │
@@ -10,51 +16,62 @@
 //!
 //! * The **reader thread** pulls request lines off the input, stamps each
 //!   with its input index, and pushes into a bounded queue (backpressure:
-//!   a slow pool blocks the reader, not memory).
-//! * **Workers** (the `--workers` pool) pop lines and run the ordinary
-//!   [`handle_recorded`](crate::Server::handle_recorded) handler — the same
-//!   code the serial path runs — against the shared single-flight
-//!   [`CompiledCache`](rlse_core::ir::CompiledCache).
-//! * The **collector** (the calling thread) holds a sequence-stamped
-//!   reorder buffer and emits each response *strictly in input order*, so
-//!   the output byte stream at any worker count is identical to one worker
-//!   — and to the historical serial loop, because each response line
-//!   depends only on its own request line (PR 8's determinism contract).
+//!   a slow handler blocks the reader, not memory). A line longer than
+//!   [`MAX_REQUEST_LINE_BYTES`] is discarded as it is read and answered
+//!   with an `"ok":false` line in its place.
+//! * At **one worker** (the default) the calling thread pops each request
+//!   and runs the ordinary [`handle_recorded`](crate::Server::handle_recorded)
+//!   handler itself, then emits the response: no worker thread, no
+//!   completion channel, no reorder buffer (`reorder_us` is 0). The reader
+//!   thread stays: it prefetches the next line while a request runs, and
+//!   the calling thread's pop times out while input stalls, which is when
+//!   the idle metrics flush fires.
+//! * At **N workers**, a pool pops lines and runs the same handler
+//!   against the shared single-flight
+//!   [`CompiledCache`](rlse_core::ir::CompiledCache); the **collector**
+//!   (the calling thread) holds a sequence-stamped reorder buffer and
+//!   emits each response *strictly in input order*, so the output byte
+//!   stream at any worker count is identical to one worker — because each
+//!   response line depends only on its own request line.
+//!
+//! Both paths share the reader and the emit step (access record, metrics,
+//! response line).
 //!
 //! ## Determinism
 //!
 //! Response bytes are trivially order-independent (per-request purity);
-//! the subtle part is the **access log**. Records are also emitted from
-//! the reorder buffer in input order, and the one genuinely racy field —
-//! did this request hit the compiled cache? — is replaced by the verdict
-//! of a deterministic replay model ([`HitModel`]): an LRU set with the
-//! same capacity as the real cache, fed in input order. In serial
-//! operation the model's verdict equals the real outcome exactly; under
-//! concurrency it reports the canonical serial-equivalent verdict (the
-//! lowest-sequence request for a circuit is the miss) even when a
-//! later-sequence request happened to win the compile race. The real
-//! cache's aggregate traffic is still reported out-of-band in the summary
-//! and metrics, where totals — which single-flight keeps deterministic —
-//! matter but per-request attribution does not. Under eviction pressure
-//! (more distinct circuits in flight than `--max-cache`), concurrent
-//! eviction order may diverge from the model; the model stays the
-//! deterministic reference.
+//! the subtle part is the **access log**. Records are also emitted in input
+//! order, and the one genuinely racy field — did this request hit the
+//! compiled cache? — is replaced by the verdict of a deterministic replay
+//! model ([`HitModel`]): an LRU set with the same capacity as the real
+//! cache, fed in input order. In serial operation the model's verdict
+//! equals the real outcome exactly; under concurrency it reports the
+//! canonical serial-equivalent verdict (the lowest-sequence request for a
+//! circuit is the miss) even when a later-sequence request happened to win
+//! the compile race. The real cache's aggregate traffic is still reported
+//! out-of-band in the summary and metrics, where totals — which
+//! single-flight keeps deterministic — matter but per-request attribution
+//! does not. Under eviction pressure (more distinct circuits in flight
+//! than `--max-cache`), concurrent eviction order may diverge from the
+//! model; the model stays the deterministic reference.
 //!
 //! Wall-clock phase fields (`queue_us`, `reorder_us`, …) remain
 //! nondeterministic and live only under `*_us` keys, which every
 //! downstream consumer already strips.
 
 use crate::obs::SchedStats;
-use crate::{Observer, ServeSummary, Server};
+use crate::{AccessRecord, Observer, ServeSummary, Server, MAX_REQUEST_LINE_BYTES};
+use rlse_core::ir::json::JsonValue;
+use rlse_core::telemetry::Telemetry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long the collector waits for a completion before treating the
-/// writer as idle and refreshing the metrics file (so a stalled input
-/// stream doesn't leave stale metrics for long-poll deployments).
+/// How long the emitting thread waits for work before treating the writer
+/// as idle and refreshing the metrics file (so a stalled input stream
+/// doesn't leave stale metrics for long-poll deployments).
 const IDLE_FLUSH: Duration = Duration::from_millis(250);
 
 /// Bound on the parsed-request queue, per worker: deep enough to keep the
@@ -62,24 +79,26 @@ const IDLE_FLUSH: Duration = Duration::from_millis(250);
 /// the reader instead of buffering an unbounded stream.
 const QUEUE_DEPTH_PER_WORKER: usize = 4;
 
-/// A parsed request line travelling from the reader to a worker.
+/// A request line travelling from the reader to its handler.
 struct Job {
     idx: u64,
-    line: String,
+    /// The line's text; `None` for a line longer than
+    /// [`MAX_REQUEST_LINE_BYTES`], which was discarded unread.
+    line: Option<String>,
     enqueued: Instant,
 }
 
-/// A finished request travelling from a worker to the collector.
+/// A finished request travelling from a pool worker to the collector.
 struct Done {
     idx: u64,
     response: String,
-    rec: crate::AccessRecord,
-    tel: rlse_core::telemetry::Telemetry,
+    rec: AccessRecord,
+    tel: Telemetry,
     finished: Instant,
 }
 
 /// A minimal bounded MPMC queue (mutex + condvars): the reader blocks when
-/// full, workers block when empty, and `close` drains-then-terminates.
+/// full, consumers block when empty, and `close` drains-then-terminates.
 struct BoundedQueue<T> {
     inner: Mutex<QueueState<T>>,
     not_empty: Condvar,
@@ -91,6 +110,16 @@ struct QueueState<T> {
     closed: bool,
     cap: usize,
     peak: usize,
+}
+
+/// What [`BoundedQueue::pop_timeout`] found.
+#[derive(Debug, PartialEq)]
+enum Popped<T> {
+    Item(T),
+    /// Nothing arrived within the timeout.
+    Idle,
+    /// The queue is closed and drained.
+    Closed,
 }
 
 impl<T> BoundedQueue<T> {
@@ -108,7 +137,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Block until there is room, then enqueue. Returns `false` if the
-    /// queue was closed underneath us (an aborting collector).
+    /// queue was closed underneath us (an aborting consumer).
     fn push(&self, item: T) -> bool {
         let mut st = self.inner.lock().expect("queue poisoned");
         while st.items.len() >= st.cap && !st.closed {
@@ -127,17 +156,39 @@ impl<T> BoundedQueue<T> {
     /// Block until an item is available; `None` once the queue is closed
     /// *and* drained.
     fn pop(&self) -> Option<T> {
+        match self.pop_within(None) {
+            Popped::Item(item) => Some(item),
+            Popped::Idle | Popped::Closed => None,
+        }
+    }
+
+    /// [`pop`](Self::pop), but give up after waiting `timeout` for an item.
+    fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
+        self.pop_within(Some(timeout))
+    }
+
+    fn pop_within(&self, timeout: Option<Duration>) -> Popped<T> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.inner.lock().expect("queue poisoned");
         loop {
             if let Some(item) = st.items.pop_front() {
                 drop(st);
                 self.not_full.notify_one();
-                return Some(item);
+                return Popped::Item(item);
             }
             if st.closed {
-                return None;
+                return Popped::Closed;
             }
-            st = self.not_empty.wait(st).expect("queue poisoned");
+            st = match deadline {
+                None => self.not_empty.wait(st).expect("queue poisoned"),
+                Some(deadline) => {
+                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                        return Popped::Idle;
+                    };
+                    let (st, _) = self.not_empty.wait_timeout(st, left).expect("queue poisoned");
+                    st
+                }
+            };
         }
     }
 
@@ -165,15 +216,18 @@ impl<T> BoundedQueue<T> {
 }
 
 /// Deterministic replay of the compiled cache's hit/miss behaviour, fed in
-/// input order by the collector: an LRU set of content hashes with the
-/// same capacity as the real cache. See the module docs for why the access
-/// log uses this instead of the racy per-request outcome.
+/// input order by the emitting thread: an LRU set of content hashes with
+/// the same capacity as the real cache. See the module docs for why the
+/// access log uses this instead of the racy per-request outcome.
 #[derive(Debug)]
 pub(crate) struct HitModel {
     /// Capacity in distinct hashes; `None` = unbounded (cache uncapped).
     cap: Option<usize>,
     tick: u64,
     last_used: HashMap<u64, u64>,
+    /// `last_used` inverted (tick → hash), oldest first: the eviction
+    /// order.
+    by_tick: BTreeMap<u64, u64>,
 }
 
 impl HitModel {
@@ -182,6 +236,7 @@ impl HitModel {
             cap: cap.map(|c| c.max(1)),
             tick: 0,
             last_used: HashMap::new(),
+            by_tick: BTreeMap::new(),
         }
     }
 
@@ -189,17 +244,14 @@ impl HitModel {
     /// exactly the verdict a serial pass over the same stream would see.
     pub(crate) fn touch(&mut self, hash: u64) -> bool {
         self.tick += 1;
-        if self.last_used.insert(hash, self.tick).is_some() {
+        self.by_tick.insert(self.tick, hash);
+        if let Some(before) = self.last_used.insert(hash, self.tick) {
+            self.by_tick.remove(&before);
             return true;
         }
         if let Some(cap) = self.cap {
             while self.last_used.len() > cap {
-                let lru = self
-                    .last_used
-                    .iter()
-                    .min_by_key(|(_, &t)| t)
-                    .map(|(&h, _)| h)
-                    .expect("nonempty over cap");
+                let (_, lru) = self.by_tick.pop_first().expect("nonempty over cap");
                 self.last_used.remove(&lru);
             }
         }
@@ -207,63 +259,266 @@ impl HitModel {
     }
 }
 
-/// Serve every non-blank line of `input` through `workers` concurrent
-/// request handlers, emitting responses (and access records) strictly in
-/// input order. This is the engine behind `serve_observed`; at
-/// `workers == 1` it degenerates to the historical serial behaviour with a
-/// prefetching reader thread.
+/// Read one request line: its text without the newline (or `\r\n`), like
+/// [`BufRead::lines`], or `Some(None)` for a line longer than `max` bytes,
+/// whose excess is skipped without being buffered. `None` at end of input.
+fn next_line(input: &mut impl BufRead, max: usize) -> io::Result<Option<Option<String>>> {
+    let mut buf = Vec::new();
+    if input.by_ref().take(max as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > max {
+        drop(buf);
+        skip_line(input)?;
+        return Ok(Some(None));
+    }
+    String::from_utf8(buf).map(|line| Some(Some(line))).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
+}
+
+/// Consume input through the next newline (or to end of input), holding
+/// no more than one buffer-full of it at a time.
+fn skip_line(input: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if let Some(i) = chunk.iter().position(|&b| b == b'\n') {
+            input.consume(i + 1);
+            return Ok(());
+        }
+        let n = chunk.len();
+        input.consume(n);
+    }
+}
+
+/// The reader thread: number the non-blank lines of `input` in order and
+/// queue them, closing the queue at end of input, on a read error (kept in
+/// `read_error`), or when the consumer aborts.
+fn read_jobs(
+    mut input: impl BufRead,
+    queue: &BoundedQueue<Job>,
+    read_error: &Mutex<Option<io::Error>>,
+) {
+    let mut idx = 0u64;
+    loop {
+        let line = match next_line(&mut input, MAX_REQUEST_LINE_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) => {
+                *read_error.lock().expect("error slot poisoned") = Some(e);
+                break;
+            }
+        };
+        if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
+            continue;
+        }
+        let job = Job {
+            idx,
+            line,
+            enqueued: Instant::now(),
+        };
+        idx += 1;
+        if !queue.push(job) {
+            break; // consumer aborted
+        }
+    }
+    queue.close();
+}
+
+/// Answer one job on the current thread, recording how long it queued.
+fn handle(server: &Server, job: Job) -> (String, AccessRecord, Telemetry) {
+    let picked = Instant::now();
+    let (response, mut rec, tel) = match &job.line {
+        Some(line) => server.handle_recorded(line),
+        None => oversized(),
+    };
+    rec.queue_us = picked.duration_since(job.enqueued).as_micros() as u64;
+    (response, rec, tel)
+}
+
+/// The answer standing in for a line longer than
+/// [`MAX_REQUEST_LINE_BYTES`]: the error line a request without an `id`
+/// or `kind` gets.
+fn oversized() -> (String, AccessRecord, Telemetry) {
+    let error = format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes");
+    let response = JsonValue::Obj(vec![
+        ("kind".into(), JsonValue::Str("error".into())),
+        ("ok".into(), JsonValue::Bool(false)),
+        ("error".into(), JsonValue::Str(error.clone())),
+    ])
+    .to_compact();
+    let rec = AccessRecord {
+        kind: "error".into(),
+        error: Some(error),
+        ..AccessRecord::default()
+    };
+    (response, rec, Telemetry::disabled())
+}
+
+/// The emit step both paths share: it numbers each finished request,
+/// replaces its cache verdict with the [`HitModel`]'s, records it with the
+/// observer (flushing metrics when due) and writes the response line.
+struct Emitter<'a, W> {
+    server: &'a Server,
+    observer: &'a mut Observer,
+    output: W,
+    queue: &'a BoundedQueue<Job>,
+    workers: usize,
+    summary: ServeSummary,
+    reorder_peak: u64,
+    idle_flushes: u64,
+    /// `observer.observed()` at the last metrics rewrite.
+    flushed_at: u64,
+}
+
+impl<W: Write> Emitter<'_, W> {
+    fn stats(&self) -> SchedStats {
+        SchedStats {
+            workers: self.workers as u64,
+            engine_threads: self.server.engine_threads() as u64,
+            queue_depth_peak: self.queue.peak() as u64,
+            reorder_depth_peak: self.reorder_peak,
+            singleflight_waits: self.server.cache().singleflight_waits(),
+            idle_flushes: self.idle_flushes,
+        }
+    }
+
+    fn emit(&mut self, response: &str, mut rec: AccessRecord, tel: &Telemetry) -> io::Result<()> {
+        rec.seq = self.observer.next_seq();
+        if let Some(hash) = rec.hash {
+            rec.cache_hit = Some(self.server.hit_model().touch(hash));
+        }
+        self.summary.absorb(&rec);
+        self.observer.observe(&rec, tel)?;
+        if self.observer.metrics_due() {
+            self.flush_metrics()?;
+        }
+        writeln!(self.output, "{response}")
+    }
+
+    /// Writer idle: refresh the metrics file if anything changed since the
+    /// last rewrite, so a stalled input stream can't leave stale metrics
+    /// behind.
+    fn idle(&mut self) -> io::Result<()> {
+        if self.observer.wants_metrics() && self.observer.observed() != self.flushed_at {
+            self.idle_flushes += 1;
+            self.flush_metrics()?;
+        }
+        Ok(())
+    }
+
+    fn flush_metrics(&mut self) -> io::Result<()> {
+        self.observer.set_sched_stats(self.stats());
+        let cache = self.server.cache();
+        self.observer.flush(cache.hits(), cache.misses())?;
+        self.flushed_at = self.observer.observed();
+        Ok(())
+    }
+}
+
+/// Serve every non-blank line of `input` through `workers` request
+/// handlers, emitting responses (and access records) strictly in input
+/// order. This is the engine behind `serve_observed`; at `workers == 1`
+/// the calling thread handles each request itself.
 pub(crate) fn serve_pipeline(
     server: &Server,
     input: impl BufRead + Send,
-    mut output: impl Write,
+    output: impl Write,
     observer: &mut Observer,
     workers: usize,
-) -> std::io::Result<ServeSummary> {
+) -> io::Result<ServeSummary> {
     let workers = workers.max(1);
     let queue = BoundedQueue::new(workers * QUEUE_DEPTH_PER_WORKER);
-    let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let read_error: Mutex<Option<io::Error>> = Mutex::new(None);
+    let mut out = Emitter {
+        server,
+        observer,
+        output,
+        queue: &queue,
+        workers,
+        summary: ServeSummary::default(),
+        reorder_peak: 0,
+        idle_flushes: 0,
+        flushed_at: 0,
+    };
 
-    let mut summary = ServeSummary::default();
-    let mut result: std::io::Result<()> = Ok(());
+    let result = std::thread::scope(|scope| {
+        let (queue, read_error) = (&queue, &read_error);
+        scope.spawn(move || read_jobs(input, queue, read_error));
+        if workers == 1 {
+            serve_inline(server, queue, &mut out)
+        } else {
+            serve_pool(server, queue, &mut out, workers)
+        }
+    });
+    out.observer.set_sched_stats(out.stats());
+    result?;
+    if let Some(e) = read_error.lock().expect("error slot poisoned").take() {
+        return Err(e);
+    }
+    let cache = server.cache();
+    let mut summary = out.summary;
+    summary.cache_hits = cache.hits();
+    summary.cache_misses = cache.misses();
+    out.observer.flush(cache.hits(), cache.misses())?;
+    Ok(summary)
+}
 
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut idx = 0u64;
-            for line in input.lines() {
-                let line = match line {
-                    Ok(line) => line,
-                    Err(e) => {
-                        *read_error.lock().expect("error slot poisoned") = Some(e);
-                        break;
-                    }
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let job = Job {
-                    idx,
-                    line,
-                    enqueued: Instant::now(),
-                };
-                idx += 1;
-                if !queue.push(job) {
-                    break; // collector aborted
-                }
+/// One worker: handle and emit each request on the calling thread.
+fn serve_inline<W: Write>(
+    server: &Server,
+    queue: &BoundedQueue<Job>,
+    out: &mut Emitter<'_, W>,
+) -> io::Result<()> {
+    let result = loop {
+        let step = match queue.pop_timeout(IDLE_FLUSH) {
+            Popped::Item(job) => {
+                let (response, rec, tel) = handle(server, job);
+                out.emit(&response, rec, &tel)
             }
-            queue.close();
-        });
+            Popped::Idle => out.idle(),
+            Popped::Closed => break Ok(()),
+        };
+        if let Err(e) = step {
+            break Err(e);
+        }
+    };
+    if result.is_err() {
+        queue.abort();
+    }
+    result
+}
 
-        let queue_ref = &queue;
+/// `workers` pool threads handle requests; the calling thread reorders
+/// their completions and emits them in input order.
+fn serve_pool<W: Write>(
+    server: &Server,
+    queue: &BoundedQueue<Job>,
+    out: &mut Emitter<'_, W>,
+    workers: usize,
+) -> io::Result<()> {
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = done_tx.clone();
             scope.spawn(move || {
-                while let Some(job) = queue_ref.pop() {
-                    let picked = Instant::now();
-                    let (response, mut rec, tel) = server.handle_recorded(&job.line);
-                    rec.queue_us = picked.duration_since(job.enqueued).as_micros() as u64;
+                while let Some(job) = queue.pop() {
+                    let idx = job.idx;
+                    let (response, rec, tel) = handle(server, job);
                     let done = Done {
-                        idx: job.idx,
+                        idx,
                         response,
                         rec,
                         tel,
@@ -275,94 +530,37 @@ pub(crate) fn serve_pipeline(
                 }
             });
         }
-        drop(done_tx); // collector's recv disconnects once workers finish
+        drop(done_tx); // the collector's recv disconnects once workers finish
 
-        // Collector: reorder, patch determinism-sensitive fields, emit.
         let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
         let mut next_idx = 0u64;
-        let mut reorder_peak = 0u64;
-        let mut idle_flushes = 0u64;
-        let mut flushed_at = 0u64;
-        let stats = |queue_peak: usize, reorder_peak: u64, idle_flushes: u64| SchedStats {
-            workers: workers as u64,
-            engine_threads: server.engine_threads() as u64,
-            queue_depth_peak: queue_peak as u64,
-            reorder_depth_peak: reorder_peak,
-            singleflight_waits: server.cache().singleflight_waits(),
-            idle_flushes,
-        };
-        'collect: loop {
+        let result = 'collect: loop {
             let done = match done_rx.recv_timeout(IDLE_FLUSH) {
                 Ok(done) => done,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Writer idle: refresh the metrics file if anything
-                    // changed since the last rewrite, so a stalled input
-                    // stream can't leave stale metrics behind.
-                    if observer.wants_metrics() && observer.observed() != flushed_at {
-                        idle_flushes += 1;
-                        observer.set_sched_stats(stats(queue.peak(), reorder_peak, idle_flushes));
-                        if let Err(e) =
-                            observer.flush(server.cache().hits(), server.cache().misses())
-                        {
-                            result = Err(e);
-                            queue.abort();
-                            break 'collect;
-                        }
-                        flushed_at = observer.observed();
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Timeout) => match out.idle() {
+                    Ok(()) => continue,
+                    Err(e) => break Err(e),
+                },
+                Err(mpsc::RecvTimeoutError::Disconnected) => break Ok(()),
             };
             pending.insert(done.idx, done);
-            reorder_peak = reorder_peak.max(pending.len() as u64);
+            out.reorder_peak = out.reorder_peak.max(pending.len() as u64);
             while let Some(done) = pending.remove(&next_idx) {
                 next_idx += 1;
-                let Done {
-                    response,
-                    mut rec,
-                    tel,
-                    finished,
-                    ..
-                } = done;
-                rec.seq = observer.next_seq();
-                rec.reorder_us = finished.elapsed().as_micros() as u64;
-                if let Some(hash) = rec.hash {
-                    rec.cache_hit = Some(server.hit_model().touch(hash));
-                }
-                summary.absorb(&rec);
-                let emit = observer
-                    .observe(&rec, &tel)
-                    .and_then(|()| {
-                        if observer.metrics_due() {
-                            observer
-                                .set_sched_stats(stats(queue.peak(), reorder_peak, idle_flushes));
-                            observer.flush(server.cache().hits(), server.cache().misses())?;
-                            flushed_at = observer.observed();
-                        }
-                        Ok(())
-                    })
-                    .and_then(|()| writeln!(output, "{response}"));
-                if let Err(e) = emit {
-                    result = Err(e);
-                    queue.abort();
-                    break 'collect;
+                let mut rec = done.rec;
+                rec.reorder_us = done.finished.elapsed().as_micros() as u64;
+                if let Err(e) = out.emit(&done.response, rec, &done.tel) {
+                    break 'collect Err(e);
                 }
             }
+        };
+        if result.is_err() {
+            queue.abort();
         }
         // Drain any stragglers so workers can exit before the scope joins.
         while done_rx.recv().is_ok() {}
-        observer.set_sched_stats(stats(queue.peak(), reorder_peak, idle_flushes));
-    });
-
-    result?;
-    if let Some(e) = read_error.lock().expect("error slot poisoned").take() {
-        return Err(e);
-    }
-    summary.cache_hits = server.cache().hits();
-    summary.cache_misses = server.cache().misses();
-    observer.flush(server.cache().hits(), server.cache().misses())?;
-    Ok(summary)
+        result
+    })
 }
 
 #[cfg(test)]
@@ -378,6 +576,59 @@ mod tests {
         assert!(!m.touch(3), "over cap: evicts LRU (2)");
         assert!(m.touch(1), "1 was touched, survived");
         assert!(!m.touch(2), "2 was the LRU victim");
+    }
+
+    /// The replay model as first written: a linear scan for the
+    /// least-recently-used hash.
+    struct LinearHitModel {
+        cap: Option<usize>,
+        tick: u64,
+        last_used: HashMap<u64, u64>,
+    }
+
+    impl LinearHitModel {
+        fn touch(&mut self, hash: u64) -> bool {
+            self.tick += 1;
+            if self.last_used.insert(hash, self.tick).is_some() {
+                return true;
+            }
+            if let Some(cap) = self.cap {
+                while self.last_used.len() > cap {
+                    let lru = self
+                        .last_used
+                        .iter()
+                        .min_by_key(|(_, &t)| t)
+                        .map(|(&h, _)| h)
+                        .expect("nonempty over cap");
+                    self.last_used.remove(&lru);
+                }
+            }
+            false
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hit_model_matches_a_linear_lru_scan(
+            cap in 0usize..7,
+            hashes in proptest::collection::vec(0u64..12, 0..96),
+        ) {
+            // Cap 0 stands for an unbounded model.
+            let cap = (cap > 0).then_some(cap);
+            let mut model = HitModel::new(cap);
+            let mut linear = LinearHitModel {
+                cap,
+                tick: 0,
+                last_used: HashMap::new(),
+            };
+            for &h in &hashes {
+                proptest::prop_assert_eq!(model.touch(h), linear.touch(h));
+                proptest::prop_assert_eq!(model.last_used.len(), linear.last_used.len());
+                proptest::prop_assert_eq!(model.by_tick.len(), model.last_used.len());
+            }
+        }
     }
 
     #[test]
@@ -410,5 +661,28 @@ mod tests {
         assert_eq!(q.pop(), Some(3), "close still drains queued work");
         assert_eq!(q.pop(), None);
         assert_eq!(q.peak(), 2);
+    }
+
+    #[test]
+    fn pop_timeout_reports_idle_then_closed() {
+        let q = BoundedQueue::new(1);
+        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Idle);
+        assert!(q.push(7));
+        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Item(7));
+        q.close();
+        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Closed);
+    }
+
+    #[test]
+    fn next_line_caps_the_line_and_skips_its_excess() {
+        let text = "a\r\n123456789\nb\n12345678\nc";
+        let mut input = io::BufReader::with_capacity(4, text.as_bytes());
+        let mut next = || next_line(&mut input, 8).unwrap();
+        assert_eq!(next(), Some(Some("a".into())));
+        assert_eq!(next(), Some(None), "one byte over the cap");
+        assert_eq!(next(), Some(Some("b".into())));
+        assert_eq!(next(), Some(Some("12345678".into())), "exactly at the cap");
+        assert_eq!(next(), Some(Some("c".into())));
+        assert_eq!(next(), None);
     }
 }

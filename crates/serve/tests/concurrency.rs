@@ -331,3 +331,61 @@ fn a_rejected_shmoo_line_leaves_the_rest_of_the_stream_answered_in_order() {
         }
     }
 }
+
+#[test]
+fn an_oversized_request_line_is_answered_in_order_without_being_buffered() {
+    use std::io::Read;
+
+    /// A ping, a 100 MB line produced chunk by chunk as it is read, and
+    /// another ping: the whole line never exists in the test's memory.
+    struct HugeLine {
+        head: std::io::Cursor<Vec<u8>>,
+        filler: usize,
+        tail: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for HugeLine {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.head.read(buf)?;
+            if n > 0 {
+                return Ok(n);
+            }
+            if self.filler > 0 {
+                let n = buf.len().min(self.filler);
+                buf[..n].fill(b'x');
+                self.filler -= n;
+                return Ok(n);
+            }
+            self.tail.read(buf)
+        }
+    }
+
+    for workers in [1, 4] {
+        let input = HugeLine {
+            head: std::io::Cursor::new(b"{\"id\":\"a\",\"kind\":\"ping\"}\n".to_vec()),
+            filler: 100_000_000,
+            tail: std::io::Cursor::new(b"\n{\"id\":\"b\",\"kind\":\"ping\"}\n".to_vec()),
+        };
+        let server = Server::new(ServeOptions {
+            workers,
+            ..ServeOptions::default()
+        });
+        let mut out = Vec::new();
+        let summary = server
+            .serve_observed(
+                std::io::BufReader::new(input),
+                &mut out,
+                &mut Observer::disabled(),
+            )
+            .unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let want = format!(
+            "{{\"id\":\"a\",\"kind\":\"ping\",\"ok\":true}}\n\
+             {{\"kind\":\"error\",\"ok\":false,\"error\":\"request line longer than {} bytes\"}}\n\
+             {{\"id\":\"b\",\"kind\":\"ping\",\"ok\":true}}\n",
+            rlse_serve::MAX_REQUEST_LINE_BYTES
+        );
+        assert_eq!(out, want, "workers={workers}");
+        assert_eq!((summary.requests, summary.errors), (3, 1), "workers={workers}");
+    }
+}
