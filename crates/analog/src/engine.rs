@@ -840,40 +840,6 @@ pub struct AnalogSim {
     threads_req: usize,
     tel: Telemetry,
     rt: Option<Runtime>,
-    /// Prebuilt solver templates to reuse instead of rebuilding (see
-    /// [`AnalogSim::preload_templates`]).
-    preloaded: Option<TemplateBank>,
-}
-
-/// An opaque bank of prebuilt solver templates, exported from one
-/// [`AnalogSim`] and preloaded into another to skip the per-cell-type
-/// template build (matrix stamping + cold-start LU factorization). Banks
-/// are matched structurally — a preloaded template is used for a cell when
-/// its netlist compares equal and the timesteps agree — so a bank is safe
-/// to share across any simulations of the same cell library, e.g. through a
-/// `CompiledCache` sidecar keyed on the circuit's IR content hash.
-#[derive(Debug, Clone)]
-pub struct TemplateBank {
-    dt: f64,
-    templates: Vec<CellTemplate>,
-}
-
-impl TemplateBank {
-    /// Number of distinct cell templates held.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// True if the bank holds no templates.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
-    }
-
-    /// The timestep (ps) the templates were factorized at. A bank only
-    /// applies to simulations using the same timestep.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
 }
 
 /// The recorded pulse times per probe label, plus run statistics.
@@ -943,7 +909,6 @@ impl AnalogSim {
             threads_req: 0,
             tel: Telemetry::disabled(),
             rt: None,
-            preloaded: None,
         }
     }
 
@@ -1025,38 +990,17 @@ impl AnalogSim {
         }
         let mut templates: Vec<CellTemplate> = Vec::new();
         let mut cells: Vec<CellRt> = Vec::new();
-        let bank = self
-            .preloaded
-            .as_ref()
-            .filter(|b| b.dt == self.dt)
-            .map(|b| b.templates.as_slice())
-            .unwrap_or(&[]);
-        let (mut preload_hits, mut builds) = (0u64, 0u64);
         for net in &self.cells {
             let tmpl = match templates.iter().position(|t| t.net == *net) {
                 Some(i) => i,
                 None => {
-                    match bank.iter().find(|t| t.net == *net) {
-                        Some(t) => {
-                            preload_hits += 1;
-                            templates.push(t.clone());
-                        }
-                        None => {
-                            builds += 1;
-                            templates.push(CellTemplate::build(net, self.dt));
-                        }
-                    }
+                    templates.push(CellTemplate::build(net, self.dt));
                     templates.len() - 1
                 }
             };
             cells.push(CellRt::new(tmpl, &templates[tmpl]));
         }
-        if self.tel.is_enabled() {
-            self.tel.add_many(&[
-                ("analog.tmpl_preload_hits", preload_hits),
-                ("analog.tmpl_builds", builds),
-            ]);
-        }
+        self.tel.add("analog.tmpl_builds", templates.len() as u64);
         let mut tables = NetTables {
             route: self
                 .cells
@@ -1104,28 +1048,6 @@ impl AnalogSim {
             traces,
             trace_labels,
         });
-    }
-
-    /// Export the compiled solver templates (building them if needed) for
-    /// reuse in another simulation of the same cell library — typically
-    /// stored as a `CompiledCache` sidecar under the circuit's IR hash.
-    pub fn export_templates(&mut self) -> TemplateBank {
-        self.ensure_runtime();
-        let rt = self.rt.as_ref().expect("runtime built above");
-        TemplateBank {
-            dt: rt.dt,
-            templates: rt.templates.clone(),
-        }
-    }
-
-    /// Preload prebuilt solver templates: any cell whose netlist
-    /// structurally matches a bank entry (at the same timestep) reuses the
-    /// entry's stamp and cold-start factorization instead of rebuilding.
-    /// A bank built at a different timestep is kept but never matched.
-    /// Telemetry counts `analog.tmpl_preload_hits` / `analog.tmpl_builds`.
-    pub fn preload_templates(&mut self, bank: &TemplateBank) {
-        self.rt = None;
-        self.preloaded = Some(bank.clone());
     }
 
     /// Resolve the effective worker count for this run.
@@ -1669,74 +1591,6 @@ impl AnalogSim {
 mod tests {
     use super::*;
     use crate::cells::{jtl_cell, merger_cell};
-
-    #[test]
-    fn preloaded_templates_skip_rebuilds_and_keep_results_bit_identical() {
-        let build = || {
-            let mut sim = AnalogSim::new();
-            let a = sim.add_cell(jtl_cell());
-            let b = sim.add_cell(jtl_cell());
-            let m = sim.add_cell(merger_cell());
-            sim.connect((a, 0), (m, 0));
-            sim.connect((b, 0), (m, 1));
-            sim.stimulate(a, 0, &[20.0]);
-            sim.stimulate(b, 0, &[35.0]);
-            sim.probe(m, 0, "OUT");
-            sim
-        };
-        let mut cold = build();
-        let baseline = cold.run(80.0);
-        let bank = cold.export_templates();
-        assert_eq!(bank.len(), 2, "two distinct cell types");
-        assert!(!bank.is_empty());
-        assert_eq!(bank.dt(), 0.1);
-
-        let tel = Telemetry::new();
-        let mut warm = build();
-        warm.set_telemetry(&tel);
-        warm.preload_templates(&bank);
-        let replay = warm.run(80.0);
-        assert_eq!(replay, baseline, "preloading must not change results");
-        let report = tel.report();
-        assert_eq!(report.counter("analog.tmpl_preload_hits"), 2);
-        assert_eq!(report.counter("analog.tmpl_builds"), 0);
-    }
-
-    #[test]
-    fn a_bank_built_at_a_different_timestep_is_ignored() {
-        let mut donor = AnalogSim::new();
-        donor.dt = 0.05;
-        donor.add_cell(jtl_cell());
-        let bank = donor.export_templates();
-
-        let tel = Telemetry::new();
-        let mut sim = AnalogSim::new();
-        sim.set_telemetry(&tel);
-        sim.add_cell(jtl_cell());
-        sim.stimulate(0, 0, &[20.0]);
-        sim.probe(0, 0, "OUT");
-        sim.preload_templates(&bank);
-        let _ = sim.run(40.0);
-        let report = tel.report();
-        assert_eq!(report.counter("analog.tmpl_preload_hits"), 0);
-        assert_eq!(report.counter("analog.tmpl_builds"), 1);
-    }
-
-    #[test]
-    fn template_banks_ride_the_compiled_cache_sidecar() {
-        use std::sync::Arc;
-        let mut sim = AnalogSim::new();
-        sim.add_cell(jtl_cell());
-        let bank = Arc::new(sim.export_templates());
-
-        let cache = rlse_core::ir::CompiledCache::new();
-        let hash = 0xfeed_beef_u64;
-        assert!(cache.sidecar::<TemplateBank>(hash).is_none());
-        cache.put_sidecar(hash, Arc::clone(&bank));
-        let got = cache.sidecar::<TemplateBank>(hash).expect("stored bank");
-        assert_eq!(got.len(), bank.len());
-        assert_eq!(got.dt(), bank.dt());
-    }
 
     #[test]
     fn voltage_trace_captures_the_pulse() {

@@ -36,7 +36,7 @@ pub mod synth;
 pub mod prelude {
     pub use crate::cells::{c_cell, c_inv_cell, jtl_cell, merger_cell, netlist_for, splitter_cell};
     pub use crate::engine::{
-        AnalogEvents, AnalogSim, CellNetlist, Component, Decision, PulseShape, TemplateBank,
+        AnalogEvents, AnalogSim, CellNetlist, Component, Decision, PulseShape,
     };
     pub use crate::synth::from_circuit;
 }

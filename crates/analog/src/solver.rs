@@ -160,7 +160,7 @@ pub(crate) enum RhsOp {
 /// inductors, biases — stamped once at build), the per-junction correction
 /// descriptors, and the LU factorization of the cold-start (φ = 0) matrix
 /// that every instance uses until its junction operating points move.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CellTemplate {
     /// The netlist this template was built from (structural dedup key).
     pub net: CellNetlist,

@@ -1,16 +1,14 @@
 //! A persistent compiled-artifact cache keyed on [`Ir::content_hash`].
 //!
-//! The expensive per-circuit artifacts — the flat dispatch tables of
-//! [`CompiledCircuit`] and, via the type-keyed sidecar, downstream artifacts
-//! such as the analog engine's cell templates — are memoized across
-//! requests. Entries store the full canonical byte encoding and compare it
+//! The expensive per-circuit artifact — the flat dispatch tables of
+//! [`CompiledCircuit`] — is memoized across requests. Entries store the full canonical byte encoding and compare it
 //! exactly on lookup, so a 64-bit hash collision can never alias two
 //! different circuits.
 //!
 //! The cache is built for concurrent callers (the `rlse-serve` worker pool
 //! hits one shared instance from every request worker):
 //!
-//! * **Sharding** — entries and sidecars are split across
+//! * **Sharding** — entries are split across
 //!   [`SHARDS`] independently-locked shards by content hash, so lookups for
 //!   different circuits never contend on one lock.
 //! * **Single-flight compilation** — when N requests for the same hash
@@ -45,7 +43,6 @@ use super::{Ir, IrError};
 use crate::circuit::Circuit;
 use crate::compiled::CompiledCircuit;
 use crate::telemetry::Telemetry;
-use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -58,7 +55,7 @@ const SHARDS: usize = 16;
 /// memoized) compiled form.
 #[derive(Debug)]
 pub struct CacheOutcome {
-    /// The IR's content hash — the cache key, also usable with the sidecar.
+    /// The IR's content hash — the cache key.
     pub hash: u64,
     /// True if the compiled circuit was served from the cache (including
     /// after waiting on another caller's in-flight compilation).
@@ -196,26 +193,20 @@ impl Shard {
     }
 }
 
-/// Sidecars by content hash, then by type: evicting a hash drops all of
-/// its sidecars in one removal.
-type SidecarShard = HashMap<u64, HashMap<TypeId, Arc<dyn Any + Send + Sync>>>;
-
 /// Spellings by [`spelling_key`]; a bucket holds at most one spelling per
 /// entry, so its length is bounded by the entry count.
 type SpellingShard = HashMap<u64, Vec<Spelling>>;
 
-/// A thread-safe memo of compiled circuits keyed on IR content, with a
-/// type-keyed sidecar for downstream artifacts (e.g. analog cell-template
-/// banks) cached under the same hash. Sharded and single-flight — see the
-/// module docs for the concurrency design.
+/// A thread-safe memo of compiled circuits keyed on IR content. Sharded
+/// and single-flight — see the module docs for the concurrency design.
 ///
 /// By default the cache is **unbounded**: every distinct circuit compiled
-/// through it stays resident (entries plus their sidecars) until
+/// through it stays resident until
 /// [`clear`](CompiledCache::clear) or drop. That is the right trade for
 /// batch runs over a fixed request corpus; a long-lived embedder fed many
 /// distinct IRs should cap it with
 /// [`with_max_entries`](CompiledCache::with_max_entries), which evicts the
-/// globally least-recently-used entry (and its sidecars) on overflow.
+/// globally least-recently-used entry on overflow.
 ///
 /// ```
 /// use rlse_core::circuit::Circuit;
@@ -238,7 +229,6 @@ type SpellingShard = HashMap<u64, Vec<Spelling>>;
 /// ```
 pub struct CompiledCache {
     shards: Vec<Mutex<Shard>>,
-    sidecars: Vec<Mutex<SidecarShard>>,
     spellings: Vec<Mutex<SpellingShard>>,
     /// Entry count across all shards (kept in step under the shard locks;
     /// read lock-free for the cheap over-cap check).
@@ -279,7 +269,6 @@ impl CompiledCache {
     pub fn new() -> Self {
         CompiledCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            sidecars: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             spellings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             count: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
@@ -295,9 +284,8 @@ impl CompiledCache {
 
     /// Bound the cache to at most `max` compiled circuits (clamped to at
     /// least 1). Inserting past the bound evicts the globally
-    /// least-recently-used entry, along with its sidecars once no other
-    /// entry shares its hash; evictions count `ir_cache.evictions` on the
-    /// attached telemetry.
+    /// least-recently-used entry; evictions count `ir_cache.evictions` on
+    /// the attached telemetry.
     #[must_use]
     pub fn with_max_entries(mut self, max: usize) -> Self {
         self.max_entries = Some(max.max(1));
@@ -305,8 +293,7 @@ impl CompiledCache {
     }
 
     /// Attach a telemetry handle; lookups count `ir_cache.hits` /
-    /// `ir_cache.misses` / `ir_cache.singleflight_waits` (and
-    /// `ir_cache.sidecar_hits` / `_misses`) on it.
+    /// `ir_cache.misses` / `ir_cache.singleflight_waits` on it.
     #[must_use]
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.telemetry = tel.clone();
@@ -317,12 +304,6 @@ impl CompiledCache {
         self.shards[hash as usize & (SHARDS - 1)]
             .lock()
             .expect("compiled cache poisoned")
-    }
-
-    fn sidecar_shard(&self, hash: u64) -> MutexGuard<'_, SidecarShard> {
-        self.sidecars[hash as usize & (SHARDS - 1)]
-            .lock()
-            .expect("sidecar cache poisoned")
     }
 
     fn spelling_shard(&self, key: u64) -> MutexGuard<'_, SpellingShard> {
@@ -505,7 +486,7 @@ impl CompiledCache {
     /// remain. Locks every shard (in index order — the only multi-shard
     /// lock path, so it cannot deadlock against single-shard users) and
     /// takes the smallest head of their LRU indexes; a victim's spelling
-    /// goes with it, and once its hash bucket empties, its sidecars go too.
+    /// goes with it.
     fn enforce_cap(&self, cap: usize) {
         if self.count.load(Ordering::Relaxed) <= cap {
             return;
@@ -548,39 +529,9 @@ impl CompiledCache {
             }
             if bucket.is_empty() {
                 shard.entries.remove(&h);
-                self.sidecar_shard(h).remove(&h);
             }
             self.telemetry.add("ir_cache.evictions", 1);
         }
-    }
-
-    /// A typed artifact previously stored for `hash` (e.g. an analog
-    /// template bank), if present.
-    pub fn sidecar<T: Any + Send + Sync>(&self, hash: u64) -> Option<Arc<T>> {
-        let got = self
-            .sidecar_shard(hash)
-            .get(&hash)
-            .and_then(|by_type| by_type.get(&TypeId::of::<T>()))
-            .cloned();
-        match got {
-            Some(v) => {
-                self.telemetry.add("ir_cache.sidecar_hits", 1);
-                v.downcast::<T>().ok()
-            }
-            None => {
-                self.telemetry.add("ir_cache.sidecar_misses", 1);
-                None
-            }
-        }
-    }
-
-    /// Store a typed artifact under `hash`, replacing any previous value of
-    /// the same type.
-    pub fn put_sidecar<T: Any + Send + Sync>(&self, hash: u64, value: Arc<T>) {
-        self.sidecar_shard(hash)
-            .entry(hash)
-            .or_default()
-            .insert(TypeId::of::<T>(), value);
     }
 
     /// Number of distinct compiled circuits held.
@@ -633,7 +584,7 @@ impl CompiledCache {
         *self.compile_hook.lock().expect("hook poisoned") = Some(hook);
     }
 
-    /// Drop every entry, spelling and sidecar (counters are kept).
+    /// Drop every entry and spelling (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("compiled cache poisoned");
@@ -642,9 +593,6 @@ impl CompiledCache {
         }
         for shard in &self.spellings {
             shard.lock().expect("spelling index poisoned").clear();
-        }
-        for shard in &self.sidecars {
-            shard.lock().expect("sidecar cache poisoned").clear();
         }
         self.count.store(0, Ordering::Relaxed);
     }
@@ -725,7 +673,6 @@ mod tests {
         let (a, b, c) = (variant(0.0), variant(1.0), variant(2.0));
         cache.get_or_compile(&a).unwrap();
         cache.get_or_compile(&b).unwrap();
-        cache.put_sidecar(b.content_hash(), Arc::new(vec![1u8]));
         // Touch `a` so `b` is the LRU entry, then overflow with `c`.
         assert!(cache.get_or_compile(&a).unwrap().hit);
         cache.get_or_compile(&c).unwrap();
@@ -733,10 +680,6 @@ mod tests {
         assert!(cache.get_or_compile(&a).unwrap().hit, "a survived");
         assert!(cache.get_or_compile(&c).unwrap().hit, "c survived");
         assert!(!cache.get_or_compile(&b).unwrap().hit, "b was evicted");
-        assert!(
-            cache.sidecar::<Vec<u8>>(b.content_hash()).is_none(),
-            "b's sidecar went with it"
-        );
         assert!(tel.report().counter("ir_cache.evictions") >= 2);
     }
 
@@ -748,7 +691,6 @@ mod tests {
         tick: u64,
         /// Hash → (last-used tick, admitted spelling).
         entries: HashMap<u64, (u64, Option<Vec<u8>>)>,
-        sidecars: std::collections::HashSet<u64>,
         hits: u64,
         misses: u64,
     }
@@ -775,7 +717,6 @@ mod tests {
                     .map(|(&h, _)| h)
                     .expect("nonempty over cap");
                 self.entries.remove(&victim);
-                self.sidecars.remove(&victim);
             }
             self.misses += 1;
             false
@@ -806,7 +747,7 @@ mod tests {
         #[test]
         fn eviction_matches_a_linear_lru_scan(
             cap in 1usize..7,
-            ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..3), 0..48),
+            ops in proptest::collection::vec((0u8..3, 0usize..12, 0usize..3), 0..48),
         ) {
             let base = small_jtl_ir();
             let irs: Vec<Ir> = (0..12)
@@ -838,7 +779,6 @@ mod tests {
                 cap,
                 tick: 0,
                 entries: HashMap::new(),
-                sidecars: Default::default(),
                 hits: 0,
                 misses: 0,
             };
@@ -854,23 +794,15 @@ mod tests {
                         let want = model.lookup(hashes[k], canon_len[k], Some(raw));
                         proptest::prop_assert_eq!(got, want);
                     }
-                    2 => {
+                    _ => {
                         let got = cache.get_spelled(raw).map(|(hash, _)| hash);
                         proptest::prop_assert_eq!(got, model.get_spelled(raw));
-                    }
-                    _ => {
-                        cache.put_sidecar(hashes[k], Arc::new(k));
-                        model.sidecars.insert(hashes[k]);
                     }
                 }
                 proptest::prop_assert_eq!(cache.len(), model.entries.len());
                 proptest::prop_assert_eq!(cache.spellings(), model.spellings());
                 let counts = (cache.hits(), cache.misses());
                 proptest::prop_assert_eq!(counts, (model.hits, model.misses));
-                for &h in &hashes {
-                    let held = cache.sidecar::<usize>(h).is_some();
-                    proptest::prop_assert_eq!(held, model.sidecars.contains(&h));
-                }
             }
         }
     }
@@ -929,21 +861,6 @@ mod tests {
         let keys: std::collections::HashSet<u64> =
             (0..text.len()).map(|n| spelling_key(&text[..n])).collect();
         assert_eq!(keys.len(), text.len(), "every prefix keys differently");
-    }
-
-    #[test]
-    fn sidecar_round_trips_typed_artifacts() {
-        let cache = CompiledCache::new();
-        let ir = small_jtl_ir();
-        let hash = ir.content_hash();
-        assert!(cache.sidecar::<Vec<u32>>(hash).is_none());
-        cache.put_sidecar(hash, Arc::new(vec![1u32, 2, 3]));
-        assert_eq!(*cache.sidecar::<Vec<u32>>(hash).unwrap(), vec![1, 2, 3]);
-        // Type-keyed: a different type under the same hash is independent.
-        assert!(cache.sidecar::<String>(hash).is_none());
-        cache.clear();
-        assert!(cache.sidecar::<Vec<u32>>(hash).is_none());
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -1054,40 +971,5 @@ mod tests {
         for c in &compiled {
             assert!(Arc::ptr_eq(c, &compiled[0]), "all callers share one artifact");
         }
-    }
-
-    #[test]
-    fn sidecars_preloaded_concurrently_account_hits_per_shard() {
-        let tel = Telemetry::new();
-        let cache = Arc::new(CompiledCache::new().with_telemetry(&tel));
-        let base = small_jtl_ir();
-        let irs: Vec<_> = (0..6)
-            .map(|t| {
-                let mut ir = base.clone();
-                if let super::super::IrNode::Source { pulses } = &mut ir.nodes[0] {
-                    for p in pulses.iter_mut() {
-                        *p += t as f64;
-                    }
-                }
-                ir
-            })
-            .collect();
-        for ir in &irs {
-            cache.put_sidecar(ir.content_hash(), Arc::new(ir.content_hash()));
-        }
-        std::thread::scope(|s| {
-            for ir in &irs {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    let hash = ir.content_hash();
-                    let got = cache.sidecar::<u64>(hash).expect("preloaded");
-                    assert_eq!(*got, hash, "sidecar shards never cross wires");
-                    assert!(cache.sidecar::<String>(hash).is_none());
-                });
-            }
-        });
-        let report = tel.report();
-        assert_eq!(report.counter("ir_cache.sidecar_hits"), 6);
-        assert_eq!(report.counter("ir_cache.sidecar_misses"), 6);
     }
 }

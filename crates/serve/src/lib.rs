@@ -20,7 +20,7 @@
 //! through one shared [`CompiledCache`], so repeating a request (or sharing
 //! a circuit across requests) reuses the compiled dispatch tables; the
 //! cache's hit/miss counters are reported out of band in the
-//! [`Server::summary`], never in a response line.
+//! [`ServeSummary`], never in a response line.
 //!
 //! ## Determinism
 //!
@@ -96,8 +96,9 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Compiled-cache entry cap (0 = unbounded). A long-lived server fed
     /// many distinct circuits would otherwise grow without limit; overflow
-    /// evicts least-recently-used entries, which only affects the summary's
-    /// hit/miss counters, never response bytes.
+    /// evicts least-recently-used entries, which only affects cache hit/miss
+    /// accounting (the summary's totals, the access log's `cache_hit`),
+    /// never response bytes.
     pub max_cache_entries: usize,
 }
 
@@ -132,10 +133,6 @@ pub struct TenantTally {
     pub requests: u64,
     /// Of those, requests answered with `"ok":false`.
     pub errors: u64,
-    /// Compiled-cache hits attributable to this tenant's requests.
-    pub cache_hits: u64,
-    /// Compiled-cache misses (compilations) this tenant triggered.
-    pub cache_misses: u64,
     /// Monte-Carlo trials executed for this tenant (sweep + shmoo).
     pub trials: u64,
     /// Model-checker states explored for this tenant.
@@ -145,8 +142,12 @@ pub struct TenantTally {
 }
 
 /// End-of-run accounting: requests served, compiled-cache traffic, and
-/// per-kind / per-tenant breakdowns. Deterministic — it carries no
-/// wall-clock data (latency lives in the [`obs`] histograms).
+/// per-kind / per-tenant breakdowns. It carries no wall-clock data
+/// (latency lives in the [`obs`] histograms), and every field but the two
+/// cache totals is a function of the request lines. The cache totals come
+/// from the cache's own counters: single-flight keeps them at their serial
+/// values at any worker count, except under eviction at more than one
+/// worker, where which entries are resident depends on timing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Request lines answered (including error responses).
@@ -185,11 +186,6 @@ impl ServeSummary {
         if !rec.ok {
             t.errors += 1;
         }
-        match rec.cache_hit {
-            Some(true) => t.cache_hits += 1,
-            Some(false) => t.cache_misses += 1,
-            None => {}
-        }
         t.trials += rec.counter("sweep.trials") + rec.counter("shmoo.trials");
         t.states += rec.counter("mc.states");
         t.events += rec.counter("sim.dispatches");
@@ -221,8 +217,6 @@ impl ServeSummary {
                         JsonValue::Obj(vec![
                             ("requests".into(), int(t.requests)),
                             ("errors".into(), int(t.errors)),
-                            ("cache_hits".into(), int(t.cache_hits)),
-                            ("cache_misses".into(), int(t.cache_misses)),
                             ("trials".into(), int(t.trials)),
                             ("states".into(), int(t.states)),
                             ("events".into(), int(t.events)),
@@ -254,9 +248,6 @@ pub struct Server {
     /// Resolved per-request engine thread count (never 0 — two concurrent
     /// requests must not each claim every core).
     engine_threads: usize,
-    /// Deterministic serial-replay of cache hit/miss outcomes for the
-    /// access log; see `sched`'s module docs.
-    hit_model: std::sync::Mutex<sched::HitModel>,
 }
 
 /// An internal request failure, rendered as an `"ok":false` response line.
@@ -442,16 +433,11 @@ impl Server {
         } else {
             opts.threads
         };
-        let hit_model = std::sync::Mutex::new(sched::HitModel::new(match opts.max_cache_entries {
-            0 => None,
-            cap => Some(cap),
-        }));
         Server {
             cache,
             opts,
             workers,
             engine_threads,
-            hit_model,
         }
     }
 
@@ -470,21 +456,6 @@ impl Server {
     /// split; never 0).
     pub fn engine_threads(&self) -> usize {
         self.engine_threads
-    }
-
-    pub(crate) fn hit_model(&self) -> std::sync::MutexGuard<'_, sched::HitModel> {
-        self.hit_model.lock().expect("hit model poisoned")
-    }
-
-    /// Current accounting. `requests`/`errors` only advance through
-    /// [`serve_observed`](Self::serve_observed); cache traffic always
-    /// counts.
-    pub fn summary(&self) -> ServeSummary {
-        ServeSummary {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            ..ServeSummary::default()
-        }
     }
 
     /// Answer one request line with one compact JSON response line (no
@@ -844,6 +815,13 @@ impl Server {
             ..Default::default()
         };
         if let Some(t) = req.get("trials").and_then(JsonValue::as_f64) {
+            // Zero trials would measure nothing, yet every cell reads as a
+            // measured pass.
+            if t < 1.0 {
+                return Err(RequestError(format!(
+                    "shmoo 'trials' must be at least 1, got {t:?}"
+                )));
+            }
             opts.trials = t as u64;
         }
         if opts.trials > self.opts.max_trials {
@@ -854,6 +832,13 @@ impl Server {
             opts.master_seed = seed as u64;
         }
         if let Some(tol) = req.get("tolerance").and_then(JsonValue::as_f64) {
+            // A cell passes when its failure rate is at most the tolerance,
+            // so one below 0 fails every cell and one above 1 passes them.
+            if !(0.0..=1.0).contains(&tol) {
+                return Err(RequestError(format!(
+                    "shmoo 'tolerance' must lie in [0, 1], got {tol:?}"
+                )));
+            }
             opts.tolerance = tol;
         }
         if let Some(adaptive) = req.get("adaptive").and_then(JsonValue::as_bool) {
@@ -1166,6 +1151,51 @@ mod tests {
             ));
             assert!(r.contains("\"ok\":false"), "{sigmas}: {r}");
             assert!(r.contains(error), "{sigmas}: {r}");
+        }
+        // A shmoo with no trials answered a measured pass ("map":["P"]),
+        // and a tolerance of −1 failed every cell.
+        for (extra, error) in [
+            (
+                "\"trials\":0",
+                "shmoo 'trials' must be at least 1, got 0.0",
+            ),
+            (
+                "\"trials\":-5",
+                "shmoo 'trials' must be at least 1, got -5.0",
+            ),
+            (
+                "\"trials\":0.5",
+                "shmoo 'trials' must be at least 1, got 0.5",
+            ),
+            (
+                "\"trials\":1,\"tolerance\":-1",
+                "shmoo 'tolerance' must lie in [0, 1], got -1.0",
+            ),
+            (
+                "\"trials\":1,\"tolerance\":1.5",
+                "shmoo 'tolerance' must lie in [0, 1], got 1.5",
+            ),
+            // Non-finite numbers never get past the JSON parser.
+            ("\"trials\":1,\"tolerance\":1e999", "invalid number '1e999'"),
+        ] {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.4],\
+                 \"scales\":[1.0],{extra}}}"
+            ));
+            assert!(r.contains("\"ok\":false"), "{extra}: {r}");
+            assert!(r.contains(error), "{extra}: {r}");
+        }
+        // The edges of the accepted ranges still serve.
+        for extra in [
+            "\"trials\":1",
+            "\"trials\":1,\"tolerance\":0",
+            "\"trials\":1,\"tolerance\":1",
+        ] {
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.4],\
+                 \"scales\":[1.0],{extra}}}"
+            ));
+            assert!(r.contains("\"ok\":true"), "{extra}: {r}");
         }
 
         // The server still answers well-formed requests afterwards.

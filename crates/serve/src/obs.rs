@@ -11,8 +11,9 @@
 //! access log, the metrics file, the summary, or a trace file, never into
 //! a response. Wall-clock data (the `*_us` fields of an [`AccessRecord`],
 //! every [`Histogram`] sample, span timestamps in slow traces) appears
-//! *only* here; deterministic data (counters, verdicts, events) may appear
-//! in both places.
+//! *only* here, and so does the access log's per-request `cache_hit`,
+//! which depends on timing at more than one worker; deterministic data
+//! (counters, verdicts, events) may appear in both places.
 
 use crate::{ServeSummary, TenantTally};
 use rlse_core::ir::json::JsonValue;
@@ -22,8 +23,9 @@ use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 
 /// One served request, as recorded in the JSON-lines access log. All
-/// fields except the `*_us` wall-clock phase timings are deterministic
-/// functions of the request line and the server's budget configuration.
+/// fields except the `*_us` wall-clock phase timings and `cache_hit` are
+/// deterministic functions of the request line and the server's budget
+/// configuration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccessRecord {
     /// 1-based sequence number across the [`Observer`]'s lifetime (spans
@@ -43,8 +45,11 @@ pub struct AccessRecord {
     pub error: Option<String>,
     /// The IR content hash, for requests that carried a circuit.
     pub hash: Option<u64>,
-    /// Whether the compiled circuit came from the cache (requests without
-    /// a circuit record `None`).
+    /// Whether the request's compiled-cache lookup hit (requests without
+    /// a circuit record `None`): the cache's real outcome, so the logged
+    /// hits and misses add up to its counters. Out-of-band like the `*_us`
+    /// fields: deterministic at one worker, timing-dependent at more (which
+    /// concurrent request compiles a circuit, which entries eviction left).
     pub cache_hit: Option<bool>,
     /// Which per-request budget clamps fired (`trials`, `until`,
     /// `max_states`, `max_seconds`).
@@ -82,7 +87,8 @@ impl AccessRecord {
     /// One compact JSON line (no trailing newline). String fields are
     /// escaped by the shared JSON emitter, so hostile tenant or error
     /// strings cannot break the log. Wall-clock fields all end in `_us`;
-    /// stripping those keys yields a deterministic record.
+    /// stripping those keys yields a record that is deterministic at one
+    /// worker, and at any worker count once `cache_hit` is masked too.
     pub fn to_json(&self) -> String {
         let mut fields: Vec<(String, JsonValue)> = vec![(
             "seq".into(),
@@ -464,23 +470,13 @@ pub fn prometheus_text_for_with_sched(
 
     if !summary.tenants.is_empty() {
         type Getter = fn(&TenantTally) -> u64;
-        let series: [(&str, &str, Getter); 7] = [
+        let series: [(&str, &str, Getter); 5] = [
             ("rlse_tenant_requests_total", "Requests, by tenant.", |t| {
                 t.requests
             }),
             ("rlse_tenant_errors_total", "Error responses, by tenant.", |t| {
                 t.errors
             }),
-            (
-                "rlse_tenant_cache_hits_total",
-                "Compiled-cache hits, by tenant.",
-                |t| t.cache_hits,
-            ),
-            (
-                "rlse_tenant_cache_misses_total",
-                "Compiled-cache misses, by tenant.",
-                |t| t.cache_misses,
-            ),
             (
                 "rlse_tenant_trials_total",
                 "Monte-Carlo trials executed, by tenant.",

@@ -39,31 +39,22 @@
 //!
 //! ## Determinism
 //!
-//! Response bytes are trivially order-independent (per-request purity);
-//! the subtle part is the **access log**. Records are also emitted in input
-//! order, and the one genuinely racy field — did this request hit the
-//! compiled cache? — is replaced by the verdict of a deterministic replay
-//! model ([`HitModel`]): an LRU set with the same capacity as the real
-//! cache, fed in input order. In serial operation the model's verdict
-//! equals the real outcome exactly; under concurrency it reports the
-//! canonical serial-equivalent verdict (the lowest-sequence request for a
-//! circuit is the miss) even when a later-sequence request happened to win
-//! the compile race. The real cache's aggregate traffic is still reported
-//! out-of-band in the summary and metrics, where totals — which
-//! single-flight keeps deterministic — matter but per-request attribution
-//! does not. Under eviction pressure (more distinct circuits in flight
-//! than `--max-cache`), concurrent eviction order may diverge from the
-//! model; the model stays the deterministic reference.
-//!
-//! Wall-clock phase fields (`queue_us`, `reorder_us`, …) remain
-//! nondeterministic and live only under `*_us` keys, which every
-//! downstream consumer already strips.
+//! Response bytes are trivially order-independent (per-request purity).
+//! Access records are emitted in input order too, and every field but one
+//! is a function of the request line: `cache_hit`, the real outcome of the
+//! request's compiled-cache lookup. At one worker that outcome is
+//! deterministic. At more workers it depends on arrival timing — which of
+//! two concurrent requests for one circuit compiles it, and under eviction
+//! pressure which entries are still resident — so it is out-of-band, like
+//! the wall-clock `*_us` fields (`queue_us`, `reorder_us`, …). The logged
+//! hit and miss counts always equal the cache's own totals in the summary
+//! and metrics.
 
 use crate::obs::SchedStats;
 use crate::{AccessRecord, Observer, ServeSummary, Server, MAX_REQUEST_LINE_BYTES};
 use rlse_core::ir::json::JsonValue;
 use rlse_core::telemetry::Telemetry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -215,50 +206,6 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Deterministic replay of the compiled cache's hit/miss behaviour, fed in
-/// input order by the emitting thread: an LRU set of content hashes with
-/// the same capacity as the real cache. See the module docs for why the
-/// access log uses this instead of the racy per-request outcome.
-#[derive(Debug)]
-pub(crate) struct HitModel {
-    /// Capacity in distinct hashes; `None` = unbounded (cache uncapped).
-    cap: Option<usize>,
-    tick: u64,
-    last_used: HashMap<u64, u64>,
-    /// `last_used` inverted (tick → hash), oldest first: the eviction
-    /// order.
-    by_tick: BTreeMap<u64, u64>,
-}
-
-impl HitModel {
-    pub(crate) fn new(cap: Option<usize>) -> Self {
-        HitModel {
-            cap: cap.map(|c| c.max(1)),
-            tick: 0,
-            last_used: HashMap::new(),
-            by_tick: BTreeMap::new(),
-        }
-    }
-
-    /// Record an access to `hash` and report whether it was resident —
-    /// exactly the verdict a serial pass over the same stream would see.
-    pub(crate) fn touch(&mut self, hash: u64) -> bool {
-        self.tick += 1;
-        self.by_tick.insert(self.tick, hash);
-        if let Some(before) = self.last_used.insert(hash, self.tick) {
-            self.by_tick.remove(&before);
-            return true;
-        }
-        if let Some(cap) = self.cap {
-            while self.last_used.len() > cap {
-                let (_, lru) = self.by_tick.pop_first().expect("nonempty over cap");
-                self.last_used.remove(&lru);
-            }
-        }
-        false
-    }
-}
-
 /// Read one request line: its text without the newline (or `\r\n`), like
 /// [`BufRead::lines`], or `Some(None)` for a line longer than `max` bytes,
 /// whose excess is skipped without being buffered. `None` at end of input.
@@ -368,8 +315,8 @@ fn oversized() -> (String, AccessRecord, Telemetry) {
 }
 
 /// The emit step both paths share: it numbers each finished request,
-/// replaces its cache verdict with the [`HitModel`]'s, records it with the
-/// observer (flushing metrics when due) and writes the response line.
+/// records it with the observer (flushing metrics when due) and writes the
+/// response line.
 struct Emitter<'a, W> {
     server: &'a Server,
     observer: &'a mut Observer,
@@ -397,9 +344,6 @@ impl<W: Write> Emitter<'_, W> {
 
     fn emit(&mut self, response: &str, mut rec: AccessRecord, tel: &Telemetry) -> io::Result<()> {
         rec.seq = self.observer.next_seq();
-        if let Some(hash) = rec.hash {
-            rec.cache_hit = Some(self.server.hit_model().touch(hash));
-        }
         self.summary.absorb(&rec);
         self.observer.observe(&rec, tel)?;
         if self.observer.metrics_due() {
@@ -566,81 +510,6 @@ fn serve_pool<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_model_replays_serial_lru_semantics() {
-        let mut m = HitModel::new(Some(2));
-        assert!(!m.touch(1), "first sight is a miss");
-        assert!(!m.touch(2));
-        assert!(m.touch(1), "resident is a hit");
-        assert!(!m.touch(3), "over cap: evicts LRU (2)");
-        assert!(m.touch(1), "1 was touched, survived");
-        assert!(!m.touch(2), "2 was the LRU victim");
-    }
-
-    /// The replay model as first written: a linear scan for the
-    /// least-recently-used hash.
-    struct LinearHitModel {
-        cap: Option<usize>,
-        tick: u64,
-        last_used: HashMap<u64, u64>,
-    }
-
-    impl LinearHitModel {
-        fn touch(&mut self, hash: u64) -> bool {
-            self.tick += 1;
-            if self.last_used.insert(hash, self.tick).is_some() {
-                return true;
-            }
-            if let Some(cap) = self.cap {
-                while self.last_used.len() > cap {
-                    let lru = self
-                        .last_used
-                        .iter()
-                        .min_by_key(|(_, &t)| t)
-                        .map(|(&h, _)| h)
-                        .expect("nonempty over cap");
-                    self.last_used.remove(&lru);
-                }
-            }
-            false
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn hit_model_matches_a_linear_lru_scan(
-            cap in 0usize..7,
-            hashes in proptest::collection::vec(0u64..12, 0..96),
-        ) {
-            // Cap 0 stands for an unbounded model.
-            let cap = (cap > 0).then_some(cap);
-            let mut model = HitModel::new(cap);
-            let mut linear = LinearHitModel {
-                cap,
-                tick: 0,
-                last_used: HashMap::new(),
-            };
-            for &h in &hashes {
-                proptest::prop_assert_eq!(model.touch(h), linear.touch(h));
-                proptest::prop_assert_eq!(model.last_used.len(), linear.last_used.len());
-                proptest::prop_assert_eq!(model.by_tick.len(), model.last_used.len());
-            }
-        }
-    }
-
-    #[test]
-    fn hit_model_unbounded_never_evicts() {
-        let mut m = HitModel::new(None);
-        for h in 0..1000u64 {
-            assert!(!m.touch(h));
-        }
-        for h in 0..1000u64 {
-            assert!(m.touch(h));
-        }
-    }
 
     #[test]
     fn bounded_queue_backpressures_and_drains_on_close() {

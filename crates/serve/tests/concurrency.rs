@@ -1,6 +1,6 @@
 //! Differential tests for the request scheduler: the response stream and
-//! the deterministic (wall-clock-stripped) access log must not depend on
-//! the worker count. `--workers 8` on the generated mixed corpus has to
+//! the access log, less its out-of-band values, must not depend on the
+//! worker count. `--workers 8` on the generated mixed corpus has to
 //! produce the same bytes as `--workers 1` — which in turn matches the
 //! historical serial loop — while the shared cache's single-flight path
 //! keeps the compile count equal to the number of distinct circuits.
@@ -33,14 +33,19 @@ impl SharedBuf {
     }
 }
 
-/// Drop every wall-clock (`*_us`) field of an access-log line, leaving the
-/// deterministic record.
-fn strip_wall_clock(line: &str) -> String {
+/// Drop every wall-clock (`*_us`) field of an access-log line and mask the
+/// value of `cache_hit`, which depends on timing at more than one worker.
+/// The `cache_hit` key stays, so its presence is still compared.
+fn strip_out_of_band(line: &str) -> String {
     match JsonValue::parse(line).expect("access-log line parses as JSON") {
         JsonValue::Obj(fields) => JsonValue::Obj(
             fields
                 .into_iter()
                 .filter(|(k, _)| !k.ends_with("_us"))
+                .map(|(k, v)| match k.as_str() {
+                    "cache_hit" => (k, JsonValue::Null),
+                    _ => (k, v),
+                })
                 .collect(),
         )
         .to_compact(),
@@ -48,11 +53,17 @@ fn strip_wall_clock(line: &str) -> String {
     }
 }
 
-/// Serve `requests` at the given worker count, returning the response
-/// bytes and the `*_us`-stripped access-log lines.
-fn serve_at(requests: &str, workers: usize) -> (String, Vec<String>) {
+/// Serve `requests` at the given worker count and cache cap (0 =
+/// unbounded), returning the server, the response bytes and the raw
+/// access-log lines.
+fn serve_logged(
+    requests: &str,
+    workers: usize,
+    max_cache_entries: usize,
+) -> (Server, String, String) {
     let server = Server::new(ServeOptions {
         workers,
+        max_cache_entries,
         ..ServeOptions::default()
     });
     let buf = SharedBuf::default();
@@ -61,8 +72,16 @@ fn serve_at(requests: &str, workers: usize) -> (String, Vec<String>) {
     server
         .serve_observed(requests.as_bytes(), &mut out, &mut observer)
         .unwrap();
-    let stripped = buf.contents().lines().map(strip_wall_clock).collect();
-    (String::from_utf8(out).expect("UTF-8 responses"), stripped)
+    let out = String::from_utf8(out).expect("UTF-8 responses");
+    (server, out, buf.contents())
+}
+
+/// Serve `requests` at the given worker count, returning the response
+/// bytes and the access-log lines with their out-of-band values stripped.
+fn serve_at(requests: &str, workers: usize) -> (String, Vec<String>) {
+    let cap = ServeOptions::default().max_cache_entries;
+    let (_, out, log) = serve_logged(requests, workers, cap);
+    (out, log.lines().map(strip_out_of_band).collect())
 }
 
 #[test]
@@ -114,9 +133,9 @@ fn generated_corpus_is_byte_identical_at_every_worker_count() {
 
 #[test]
 fn concurrent_serving_matches_the_historical_serial_loop() {
-    // workers=1 goes through the same scheduler (reader thread + reorder
-    // buffer); this pins it against a plain in-test serial loop over
-    // handle_line, the pre-scheduler behaviour.
+    // Four workers (reader thread, worker pool, reorder buffer) against a
+    // plain in-test serial loop over handle_line, the pre-scheduler
+    // behaviour.
     let requests = generated_requests(48);
     let server = Server::new(ServeOptions::default());
     let mut serial = String::new();
@@ -156,10 +175,11 @@ fn duplicate_hash_corpus_compiles_each_distinct_circuit_once() {
 }
 
 #[test]
-fn per_tenant_cache_accounting_is_worker_count_independent() {
-    // The per-tenant hit/miss split comes from the deterministic replay
-    // model, so the summary JSON (which carries no wall-clock data) must
-    // be identical at any worker count.
+fn summary_is_worker_count_independent() {
+    // The per-kind and per-tenant tallies are functions of the request
+    // lines, and without eviction single-flight keeps the cache totals at
+    // their serial values, so the summary JSON (which carries no wall-clock
+    // data) must be identical at any worker count.
     let requests = generated_requests(96);
     let summary_at = |workers: usize| {
         let server = Server::new(ServeOptions {
@@ -175,6 +195,32 @@ fn per_tenant_cache_accounting_is_worker_count_independent() {
     let serial = summary_at(1);
     for workers in [2, 8] {
         assert_eq!(serial, summary_at(workers), "workers={workers}");
+    }
+}
+
+#[test]
+fn logged_cache_hits_add_up_to_the_cache_counters() {
+    // The access log records each lookup's real outcome: its hit and miss
+    // counts equal the cache's own counters, at one worker and at four,
+    // with and without eviction pressure.
+    let requests = generated_requests(200);
+    for max_cache_entries in [0, 2] {
+        for workers in [1, 4] {
+            let (server, _, log) = serve_logged(&requests, workers, max_cache_entries);
+            let (mut hits, mut misses) = (0, 0);
+            for line in log.lines() {
+                let rec = JsonValue::parse(line).expect("access-log line parses as JSON");
+                match rec.get("cache_hit").and_then(JsonValue::as_bool) {
+                    Some(true) => hits += 1,
+                    Some(false) => misses += 1,
+                    None => {}
+                }
+            }
+            let at = format!("workers={workers} max_cache_entries={max_cache_entries}");
+            assert_eq!(hits, server.cache().hits(), "{at}");
+            assert_eq!(misses, server.cache().misses(), "{at}");
+            assert_eq!(hits + misses, 150, "{at}: one lookup per IR-bearing request");
+        }
     }
 }
 

@@ -218,8 +218,6 @@ fn prometheus_text_matches_the_golden_bytes() {
         TenantTally {
             requests: 2,
             errors: 0,
-            cache_hits: 2,
-            cache_misses: 0,
             trials: 100,
             states: 5,
             events: 40,
