@@ -995,16 +995,36 @@ fn malformed(ctx: &str, key: &str, want: &str) -> IrError {
     IrError::Malformed(format!("{ctx}: field '{key}' must be {want}"))
 }
 
+/// Member `key` through the shared [`JsonValue::field`] reader (absent or
+/// `null` is `None`), its error prefixed with `ctx`.
+fn opt<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    ctx: &str,
+    want: &str,
+    as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, IrError> {
+    v.field(key, want, as_t)
+        .map_err(|e| IrError::Malformed(format!("{ctx}: {e}")))
+}
+
+/// A required member: [`opt`], with absence the wrong-shape error.
+fn req<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    ctx: &str,
+    want: &str,
+    as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, IrError> {
+    opt(v, key, ctx, want, as_t)?.ok_or_else(|| malformed(ctx, key, want))
+}
+
 fn get_f64(v: &JsonValue, key: &str, ctx: &str) -> Result<f64, IrError> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| malformed(ctx, key, "a number"))
+    req(v, key, ctx, "a number", JsonValue::as_f64)
 }
 
 fn get_usize(v: &JsonValue, key: &str, ctx: &str) -> Result<usize, IrError> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| malformed(ctx, key, "a non-negative integer"))
+    req(v, key, ctx, "a non-negative integer", JsonValue::as_usize)
 }
 
 fn get_u32(v: &JsonValue, key: &str, ctx: &str) -> Result<u32, IrError> {
@@ -1013,21 +1033,15 @@ fn get_u32(v: &JsonValue, key: &str, ctx: &str) -> Result<u32, IrError> {
 }
 
 fn get_str<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a str, IrError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| malformed(ctx, key, "a string"))
+    req(v, key, ctx, "a string", JsonValue::as_str)
 }
 
 fn get_bool(v: &JsonValue, key: &str, ctx: &str) -> Result<bool, IrError> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| malformed(ctx, key, "a boolean"))
+    req(v, key, ctx, "a boolean", JsonValue::as_bool)
 }
 
 fn get_arr<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a [JsonValue], IrError> {
-    v.get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| malformed(ctx, key, "an array"))
+    req(v, key, ctx, "an array", JsonValue::as_arr)
 }
 
 fn str_list(items: &[JsonValue], ctx: &str) -> Result<Vec<String>, IrError> {
@@ -1074,18 +1088,13 @@ fn opt_port_field(
     key: &str,
     ctx: &str,
 ) -> Result<Option<(usize, usize)>, IrError> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(p) => {
-            let pair = p
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| malformed(ctx, key, "a [node, port] pair"))?;
-            match (pair[0].as_usize(), pair[1].as_usize()) {
-                (Some(n), Some(port)) => Ok(Some((n, port))),
-                _ => Err(malformed(ctx, key, "a [node, port] pair of integers")),
-            }
-        }
+    let pair = opt(v, key, ctx, "a [node, port] pair", |p| {
+        p.as_arr().filter(|a| a.len() == 2)
+    })?;
+    match pair.map(|p| (p[0].as_usize(), p[1].as_usize())) {
+        None => Ok(None),
+        Some((Some(n), Some(port))) => Ok(Some((n, port))),
+        Some(_) => Err(malformed(ctx, key, "a [node, port] pair of integers")),
     }
 }
 
@@ -1128,42 +1137,17 @@ fn parse_node(v: &JsonValue, index: usize) -> Result<IrNode, IrError> {
             pulses: f64_list(get_arr(v, "pulses", &ctx)?, &ctx)?,
         }),
         "cell" => {
-            let firing_delay = match v.get("firing_delay") {
-                None | Some(JsonValue::Null) => None,
-                Some(d) => Some(d.as_f64().ok_or_else(|| {
-                    malformed(&ctx, "firing_delay", "a number")
-                })?),
-            };
-            let transition_time = match v.get("transition_time") {
-                None | Some(JsonValue::Null) => None,
-                Some(d) => Some(d.as_f64().ok_or_else(|| {
-                    malformed(&ctx, "transition_time", "a number")
-                })?),
-            };
-            let jjs = match v.get("jjs") {
-                None | Some(JsonValue::Null) => None,
-                Some(d) => Some(
-                    d.as_usize()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| {
-                            malformed(&ctx, "jjs", "an integer no larger than 4294967295")
-                        })?,
-                ),
-            };
-            let exempt = match v.get("exempt") {
-                None => false,
-                Some(b) => b
-                    .as_bool()
-                    .ok_or_else(|| malformed(&ctx, "exempt", "a boolean"))?,
+            let jjs = |d: &JsonValue| d.as_usize().and_then(|n| u32::try_from(n).ok());
+            let overrides = IrOverrides {
+                firing_delay: opt(v, "firing_delay", &ctx, "a number", JsonValue::as_f64)?,
+                transition_time: opt(v, "transition_time", &ctx, "a number", JsonValue::as_f64)?,
+                jjs: opt(v, "jjs", &ctx, "an integer no larger than 4294967295", jjs)?,
+                exempt_from_variability: opt(v, "exempt", &ctx, "a boolean", JsonValue::as_bool)?
+                    .unwrap_or(false),
             };
             Ok(IrNode::Instance {
                 machine: get_usize(v, "machine", &ctx)?,
-                overrides: IrOverrides {
-                    firing_delay,
-                    transition_time,
-                    jjs,
-                    exempt_from_variability: exempt,
-                },
+                overrides,
             })
         }
         other => Err(IrError::Malformed(format!(
@@ -1506,6 +1490,51 @@ mod tests {
         let bad_jjs = good.replace("\"jjs\": 2", "\"jjs\": 4294967298");
         assert_ne!(good, bad_jjs);
         assert!(matches!(Ir::from_json(&bad_jjs), Err(IrError::Malformed(_))));
+
+        // A cell's optional override fields: a wrong shape names the field,
+        // and `null` reads as absent, like every other optional IR field.
+        let doc = Ir::from_circuit(&small_circuit()).unwrap().to_value();
+        let with_member = |key: &str, value: &str| {
+            let mut doc = doc.clone();
+            let JsonValue::Obj(members) = &mut doc else {
+                unreachable!()
+            };
+            let nodes = members.iter_mut().find(|(k, _)| k == "nodes").unwrap();
+            let JsonValue::Arr(nodes) = &mut nodes.1 else {
+                unreachable!()
+            };
+            let JsonValue::Obj(node) = &mut nodes[1] else {
+                unreachable!()
+            };
+            node.retain(|(k, _)| k != key);
+            node.push((key.into(), JsonValue::parse(value).unwrap()));
+            Ir::from_value(&doc)
+        };
+        for (key, value, want) in [
+            (
+                "firing_delay",
+                "\"x\"",
+                "node 1: field 'firing_delay' must be a number",
+            ),
+            (
+                "jjs",
+                "4294967296",
+                "node 1: field 'jjs' must be an integer no larger than 4294967295",
+            ),
+            ("exempt", "1", "node 1: field 'exempt' must be a boolean"),
+        ] {
+            match with_member(key, value) {
+                Err(IrError::Malformed(msg)) => assert_eq!(msg, want),
+                other => panic!("{key}: {value}: expected Malformed, got {other:?}"),
+            }
+        }
+        let Ok(ir) = with_member("exempt", "null") else {
+            panic!("exempt:null")
+        };
+        let IrNode::Instance { overrides, .. } = &ir.nodes[1] else {
+            panic!("node 1")
+        };
+        assert!(!overrides.exempt_from_variability);
     }
 
     #[test]

@@ -244,7 +244,7 @@ pub struct CompiledCache {
     /// Test hook run by the compile leader between claiming the flight and
     /// compiling; lets tests hold the compile open deterministically.
     #[cfg(test)]
-    compile_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    compile_hook: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl std::fmt::Debug for CompiledCache {
@@ -444,8 +444,12 @@ impl CompiledCache {
                     })
             };
             #[cfg(test)]
-            if let Some(hook) = &*self.compile_hook.lock().expect("hook poisoned") {
-                hook();
+            {
+                // Cloned out, so a panicking hook poisons nothing.
+                let hook = self.compile_hook.lock().expect("hook poisoned").clone();
+                if let Some(hook) = hook {
+                    hook();
+                }
             }
             let compiled = Arc::new(CompiledCircuit::compile(&circuit));
             let compiled = {
@@ -581,7 +585,7 @@ impl CompiledCache {
     /// hold the compile open to force single-flight waits).
     #[cfg(test)]
     fn set_compile_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.compile_hook.lock().expect("hook poisoned") = Some(hook);
+        *self.compile_hook.lock().expect("hook poisoned") = Some(Arc::from(hook));
     }
 
     /// Drop every entry and spelling (counters are kept).
@@ -602,6 +606,7 @@ impl CompiledCache {
 mod tests {
     use super::super::tests_support::small_jtl_ir;
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
     #[test]
@@ -909,6 +914,46 @@ mod tests {
             tel.report().counter("ir_cache.singleflight_waits"),
             THREADS as u64 - 1
         );
+    }
+
+    #[test]
+    fn a_panicking_compile_poisons_no_shard() {
+        // A compile runs between shard locks (under its `FlightGuard`), and
+        // only map and B-tree operations run while a shard is held, so a
+        // panic inside the compile leaves every shard usable.
+        let cache = CompiledCache::new();
+        let panicked = Arc::new(AtomicBool::new(false));
+        {
+            let panicked = Arc::clone(&panicked);
+            cache.set_compile_hook(Box::new(move || {
+                if !panicked.swap(true, Ordering::Relaxed) {
+                    panic!("injected compile panic");
+                }
+            }));
+        }
+        let variant = |shift: f64| {
+            let mut ir = small_jtl_ir();
+            if let super::super::IrNode::Source { pulses } = &mut ir.nodes[0] {
+                for t in pulses.iter_mut() {
+                    *t += shift;
+                }
+            }
+            ir
+        };
+        let ir = variant(0.0);
+        let shard = |ir: &Ir| ir.content_hash() as usize & (SHARDS - 1);
+        let neighbour = (1..)
+            .map(|k| variant(f64::from(k)))
+            .find(|other| shard(other) == shard(&ir))
+            .unwrap();
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get_or_compile(&ir)));
+        assert!(unwound.is_err(), "the hook panicked inside the compile");
+        assert!(!cache.get_or_compile(&ir).unwrap().hit, "compiled on retry");
+        assert!(cache.get_or_compile(&ir).unwrap().hit);
+        assert!(!cache.get_or_compile(&neighbour).unwrap().hit);
+        assert!(cache.get_or_compile(&neighbour).unwrap().hit);
+        assert_eq!((cache.len(), cache.misses()), (2, 2));
     }
 
     #[test]

@@ -346,6 +346,13 @@ pub fn write_f64(v: f64, out: &mut String) {
     }
 }
 
+/// [`JsonValue::field`]'s error, out of line: formatted inside every
+/// `field` instance, it made `Ir::from_value` ~10% slower.
+#[cold]
+fn wrong_shape(key: &str, want: &str) -> String {
+    format!("field '{key}' must be {want}")
+}
+
 impl JsonValue {
     /// Parse a complete JSON document; trailing non-whitespace is an
     /// error, as is array/object nesting deeper than [`MAX_DEPTH`] levels.
@@ -390,6 +397,21 @@ impl JsonValue {
         match self {
             JsonValue::Obj(items) => items.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Member `key` read through `as_t`: the one rule the IR and request
+    /// decoders share. An absent or `null` member is `Ok(None)`; a member
+    /// `as_t` rejects is the error `field '<key>' must be <want>`.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => as_t(v).map(Some).ok_or_else(|| wrong_shape(key, want)),
         }
     }
 
@@ -610,6 +632,23 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(JsonValue::Num(1.5).as_usize(), None);
         assert_eq!(JsonValue::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn field_reads_absent_and_null_as_none_and_names_a_wrong_shape() {
+        let v = JsonValue::parse(r#"{"n":3,"z":null,"s":"3","big":1e300}"#).unwrap();
+        let int = |key| v.field(key, "an integer", JsonValue::as_usize);
+        assert_eq!(int("n"), Ok(Some(3)));
+        assert_eq!(int("z"), Ok(None));
+        assert_eq!(int("missing"), Ok(None));
+        assert_eq!(int("s"), Err("field 's' must be an integer".into()));
+        assert_eq!(int("big"), Err("field 'big' must be an integer".into()));
+        assert_eq!(v.field("s", "a string", JsonValue::as_str), Ok(Some("3")));
+        // A non-object has no members.
+        assert_eq!(
+            JsonValue::Num(1.0).field("n", "x", JsonValue::as_f64),
+            Ok(None)
+        );
     }
 
     #[test]

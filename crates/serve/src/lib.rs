@@ -39,15 +39,24 @@
 //! `"tenant"` label (and the existing `"id"`); both are accounting-only —
 //! neither enters the circuit content hash nor changes response bytes.
 //!
-//! ## Budgets
+//! ## Request fields and budgets
+//!
+//! Every request field is read through one rule, [`JsonValue::field`]: an
+//! absent or `null` field takes its default, and a field of the wrong type
+//! or range becomes the request's `"ok":false` line. Integers must be exact
+//! and lie in [0, 2^53]; no request value is ever cast. README "Serving
+//! simulations" tabulates every field.
 //!
 //! [`ServeOptions`] caps what one request may ask for: sweep/shmoo trials,
 //! model-checker states and wall-clock seconds, and the simulation time
-//! horizon. Requests asking for more are clamped, and the effective values
-//! are echoed in the response.
+//! horizon. A request asking for more is clamped, and the access log's
+//! `clamps` names the cap. Only the effective `trials` (sweep, shmoo) and
+//! `max_states` (model_check) are echoed in the response; a clamped
+//! `until` or `max_seconds` shows in the access log alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 pub mod obs;
 mod sched;
@@ -253,6 +262,10 @@ pub struct Server {
 /// An internal request failure, rendered as an `"ok":false` response line.
 struct RequestError(String);
 
+/// A handler's answer: the response members after `"ok":true`, or the
+/// request's error.
+type Answer = Result<Vec<(String, JsonValue)>, RequestError>;
+
 /// Per-request bookkeeping threaded through the handlers: the request's
 /// telemetry handle plus everything the access log needs that a handler
 /// learns along the way. None of it feeds back into response bytes except
@@ -277,8 +290,40 @@ impl ReqCtx {
     }
 }
 
+/// Microseconds since `t`, saturating (a `u64` of them spans ~584,000
+/// years).
 fn elapsed_us(t: Instant) -> u64 {
-    t.elapsed().as_micros() as u64
+    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// What an integer request field must be: [`JsonValue::as_usize`]'s exact
+/// integers, the range a JSON number spells exactly.
+const INTEGER: &str = "an integer in [0, 2^53]";
+
+/// An integer request field ([`INTEGER`]) as a `u64`.
+fn uint(v: &JsonValue) -> Option<u64> {
+    v.as_usize().and_then(|n| u64::try_from(n).ok())
+}
+
+/// `requested`, or `default` when absent, but never more than `cap`. A
+/// request clamped to the cap is logged as `name` in the access log's
+/// `clamps`.
+fn capped<T: PartialOrd>(
+    requested: Option<T>,
+    default: T,
+    cap: T,
+    name: &'static str,
+    ctx: &mut ReqCtx,
+) -> T {
+    if requested.as_ref().is_some_and(|r| *r > cap) {
+        ctx.clamps.push(name);
+    }
+    let value = requested.unwrap_or(default);
+    if value > cap {
+        cap
+    } else {
+        value
+    }
 }
 
 /// The message a panic was raised with (`panic!` formats to a `String`,
@@ -369,10 +414,14 @@ fn check_sigma(sigma: f64, what: &str) -> Result<f64, RequestError> {
     }
 }
 
-/// The `"variability"` field of a request: `{"kind":"gaussian","std":S}` or
+/// The optional `"variability"` field of a request:
+/// `{"kind":"gaussian","std":S}` or
 /// `{"kind":"per_cell_type","sigmas":{"JTL":S,…}}`, every σ checked by
 /// [`check_sigma`].
-fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
+fn parse_variability(req: &JsonValue) -> Result<Option<VarSpec>, RequestError> {
+    let Some(v) = req.field("variability", "an object", |v| v.as_obj().and(Some(v)))? else {
+        return Ok(None);
+    };
     let kind = v
         .get("kind")
         .and_then(JsonValue::as_str)
@@ -383,7 +432,7 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                 .get("std")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| RequestError("gaussian variability needs 'std'".into()))?;
-            Ok(VarSpec::Gaussian(check_sigma(std, "gaussian 'std'")?))
+            Ok(Some(VarSpec::Gaussian(check_sigma(std, "gaussian 'std'")?)))
         }
         "per_cell_type" => {
             let sigmas = v
@@ -400,7 +449,7 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                     check_sigma(sigma, &format!("sigma for '{cell}'"))?,
                 );
             }
-            Ok(VarSpec::PerCellType(map))
+            Ok(Some(VarSpec::PerCellType(map)))
         }
         other => Err(RequestError(format!("unknown variability kind '{other}'"))),
     }
@@ -480,37 +529,15 @@ impl Server {
         let t_run = Instant::now();
         let (id, kind, body) = match parsed {
             Ok((req, ir_span)) => {
-                tenant = req
-                    .get("tenant")
-                    .and_then(JsonValue::as_str)
-                    .map(String::from);
-                let id = req.get("id").and_then(JsonValue::as_str).map(String::from);
-                let ir_raw = ir_span.map(|span| &line[span]);
-                match req.get("kind").and_then(JsonValue::as_str) {
-                    Some(kind) => {
-                        // A panic anywhere in a handler becomes this
-                        // request's error line, and the worker serves on.
-                        let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.dispatch(kind, &req, ir_raw, &mut ctx)
-                        }));
-                        match handled {
-                            Ok(Some(body)) => (id, Some(kind.to_string()), body),
-                            Ok(None) => (
-                                id,
-                                None,
-                                Err(RequestError(format!("unknown request kind '{kind}'"))),
-                            ),
-                            Err(panic) => (
-                                id,
-                                Some(kind.to_string()),
-                                Err(RequestError(format!(
-                                    "internal: {}",
-                                    panic_message(panic.as_ref())
-                                ))),
-                            ),
-                        }
+                let text = |key: &str| req.field(key, "a string", JsonValue::as_str);
+                match text("id").and_then(|id| Ok((id, text("tenant")?, text("kind")?))) {
+                    Err(e) => (None, None, Err(RequestError(e))),
+                    Ok((id, t, kind)) => {
+                        tenant = t.map(String::from);
+                        let ir_raw = ir_span.map(|span| &line[span]);
+                        let (kind, body) = self.dispatch(kind, &req, ir_raw, &mut ctx);
+                        (id.map(String::from), kind, body)
                     }
-                    None => (id, None, Err(RequestError("request needs a 'kind'".into()))),
                 }
             }
             Err(e) => (None, None, Err(RequestError(format!("bad request JSON: {e}")))),
@@ -590,26 +617,44 @@ impl Server {
     }
 
     /// Run the handler for request `kind` on the parsed request, whose
-    /// `"ir"` member (if any) reads `ir_raw` in the request line; `None`
-    /// for an unknown kind.
+    /// `"ir"` member (if any) reads `ir_raw` in the request line. A panic
+    /// anywhere in a handler becomes this request's error line, and the
+    /// worker serves on. Returns the kind to report (`None` for a missing
+    /// or unknown kind) and the handler's answer.
     fn dispatch(
         &self,
-        kind: &str,
+        kind: Option<&str>,
         req: &JsonValue,
         ir_raw: Option<&str>,
         ctx: &mut ReqCtx,
-    ) -> Option<Result<Vec<(String, JsonValue)>, RequestError>> {
-        Some(match kind {
-            "simulate" => self.simulate(req, ir_raw, ctx),
-            "sweep" => self.sweep(req, ctx),
-            "shmoo" => self.shmoo(req, ctx),
-            "model_check" => self.model_check(req, ctx),
-            "ping" => Ok(Vec::new()),
-            // The fault the panic-isolation tests inject.
-            #[cfg(test)]
-            "test_panic" => panic!("injected test panic"),
-            _ => return None,
-        })
+    ) -> (Option<String>, Answer) {
+        let Some(kind) = kind else {
+            return (None, Err(RequestError("request needs a 'kind'".into())));
+        };
+        let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Some(match kind {
+                "simulate" => self.simulate(req, ir_raw, ctx),
+                "sweep" => self.sweep(req, ctx),
+                "shmoo" => self.shmoo(req, ctx),
+                "model_check" => self.model_check(req, ctx),
+                "ping" => Ok(Vec::new()),
+                // The fault the panic-isolation tests inject.
+                #[cfg(test)]
+                "test_panic" => panic!("injected test panic"),
+                _ => return None,
+            })
+        }));
+        match handled {
+            Ok(Some(body)) => (Some(kind.to_string()), body),
+            Ok(None) => (
+                None,
+                Err(RequestError(format!("unknown request kind '{kind}'"))),
+            ),
+            Err(panic) => {
+                let message = format!("internal: {}", panic_message(panic.as_ref()));
+                (Some(kind.to_string()), Err(RequestError(message)))
+            }
+        }
     }
 
     /// Decode the request's already-parsed `"ir"` field and resolve it
@@ -642,12 +687,7 @@ impl Server {
     /// A byte-identical repeat of an `ir` seen on a cache hit before is
     /// found by its raw text and runs straight from the cached tables;
     /// anything else takes the decode → canonical lookup path.
-    fn simulate(
-        &self,
-        req: &JsonValue,
-        ir_raw: Option<&str>,
-        ctx: &mut ReqCtx,
-    ) -> Result<Vec<(String, JsonValue)>, RequestError> {
+    fn simulate(&self, req: &JsonValue, ir_raw: Option<&str>, ctx: &mut ReqCtx) -> Answer {
         let t0 = Instant::now();
         let spelled = ir_raw.and_then(|raw| self.cache.get_spelled(raw.as_bytes()));
         ctx.cache_us += elapsed_us(t0);
@@ -664,19 +704,16 @@ impl Server {
             }
         };
         sim.set_telemetry(&ctx.tel);
-        let requested = req.get("until").and_then(JsonValue::as_f64);
-        let until = requested.unwrap_or(f64::INFINITY).min(self.opts.max_until);
-        if requested.is_some_and(|r| until < r) {
-            ctx.clamps.push("until");
-        }
+        let requested = req.field("until", "a number", JsonValue::as_f64)?;
+        let until = capped(requested, f64::INFINITY, self.opts.max_until, "until", ctx);
         if until.is_finite() {
             sim.set_until(Some(until));
         }
-        if let Some(v) = req.get("variability") {
-            sim.set_variability(Some(parse_variability(v)?.make()));
+        if let Some(spec) = parse_variability(req)? {
+            sim.set_variability(Some(spec.make()));
         }
-        if let Some(seed) = req.get("seed").and_then(JsonValue::as_f64) {
-            sim.set_seed(seed as u64);
+        if let Some(seed) = req.field("seed", INTEGER, uint)? {
+            sim.set_seed(seed);
         }
         let events = sim.run()?;
         Ok(vec![
@@ -686,37 +723,19 @@ impl Server {
         ])
     }
 
-    fn sweep(
-        &self,
-        req: &JsonValue,
-        ctx: &mut ReqCtx,
-    ) -> Result<Vec<(String, JsonValue)>, RequestError> {
+    fn sweep(&self, req: &JsonValue, ctx: &mut ReqCtx) -> Answer {
         let (ir, outcome) = self.load_ir(req, None, ctx)?;
-        let requested_trials = req
-            .get("trials")
-            .and_then(JsonValue::as_f64)
-            .map(|t| t as u64);
-        let trials = requested_trials.unwrap_or(100).min(self.opts.max_trials);
-        if requested_trials.is_some_and(|r| trials < r) {
-            ctx.clamps.push("trials");
-        }
-        let seed = req
-            .get("seed")
-            .and_then(JsonValue::as_f64)
-            .map_or(0, |v| v as u64);
-        let requested_until = req.get("until").and_then(JsonValue::as_f64);
-        let until = requested_until
-            .unwrap_or(f64::INFINITY)
-            .min(self.opts.max_until);
-        if requested_until.is_some_and(|r| until < r) {
-            ctx.clamps.push("until");
-        }
-        let variability = req.get("variability").map(parse_variability).transpose()?;
+        let requested = req.field("trials", INTEGER, uint)?;
+        let trials = capped(requested, 100, self.opts.max_trials, "trials", ctx);
+        let seed = req.field("seed", INTEGER, uint)?.unwrap_or(0);
+        let requested = req.field("until", "a number", JsonValue::as_f64)?;
+        let until = capped(requested, f64::INFINITY, self.opts.max_until, "until", ctx);
+        let variability = parse_variability(req)?;
         // `check:true` turns the IR's expected-output query into the
         // per-trial verdict (a trial passes when every listed output fires
         // at exactly the listed times).
         let expected: Option<Vec<(String, Vec<f64>)>> =
-            if req.get("check").and_then(JsonValue::as_bool) == Some(true) {
+            if req.field("check", "a boolean", JsonValue::as_bool)? == Some(true) {
                 let found = ir.queries.iter().find_map(|q| match q {
                     IrQuery::OutputsOnlyAt { outputs } => Some(outputs.clone()),
                     _ => None,
@@ -775,14 +794,9 @@ impl Server {
         ])
     }
 
-    fn shmoo(
-        &self,
-        req: &JsonValue,
-        ctx: &mut ReqCtx,
-    ) -> Result<Vec<(String, JsonValue)>, RequestError> {
+    fn shmoo(&self, req: &JsonValue, ctx: &mut ReqCtx) -> Answer {
         let design = req
-            .get("design")
-            .and_then(JsonValue::as_str)
+            .field("design", "a string", JsonValue::as_str)?
             .ok_or_else(|| RequestError("shmoo needs a 'design' name".into()))?;
         if !rlse_designs::shmoo_design_names().contains(&design) {
             return Err(RequestError(format!(
@@ -814,24 +828,19 @@ impl Server {
             threads: self.engine_threads,
             ..Default::default()
         };
-        if let Some(t) = req.get("trials").and_then(JsonValue::as_f64) {
-            // Zero trials would measure nothing, yet every cell reads as a
-            // measured pass.
-            if t < 1.0 {
-                return Err(RequestError(format!(
-                    "shmoo 'trials' must be at least 1, got {t:?}"
-                )));
-            }
-            opts.trials = t as u64;
+        let trials = req.field("trials", INTEGER, uint)?;
+        // Zero trials would measure nothing, yet every cell reads as a
+        // measured pass.
+        if trials == Some(0) {
+            return Err(RequestError(
+                "shmoo 'trials' must be at least 1, got 0.0".into(),
+            ));
         }
-        if opts.trials > self.opts.max_trials {
-            ctx.clamps.push("trials");
+        opts.trials = capped(trials, opts.trials, self.opts.max_trials, "trials", ctx);
+        if let Some(seed) = req.field("seed", INTEGER, uint)? {
+            opts.master_seed = seed;
         }
-        opts.trials = opts.trials.min(self.opts.max_trials);
-        if let Some(seed) = req.get("seed").and_then(JsonValue::as_f64) {
-            opts.master_seed = seed as u64;
-        }
-        if let Some(tol) = req.get("tolerance").and_then(JsonValue::as_f64) {
+        if let Some(tol) = req.field("tolerance", "a number", JsonValue::as_f64)? {
             // A cell passes when its failure rate is at most the tolerance,
             // so one below 0 fails every cell and one above 1 passes them.
             if !(0.0..=1.0).contains(&tol) {
@@ -841,7 +850,7 @@ impl Server {
             }
             opts.tolerance = tol;
         }
-        if let Some(adaptive) = req.get("adaptive").and_then(JsonValue::as_bool) {
+        if let Some(adaptive) = req.field("adaptive", "a boolean", JsonValue::as_bool)? {
             opts.adaptive = adaptive;
         }
         let map = rlse_designs::shmoo_map(design, &sigmas, &scales, &opts);
@@ -875,26 +884,16 @@ impl Server {
         ])
     }
 
-    fn model_check(
-        &self,
-        req: &JsonValue,
-        ctx: &mut ReqCtx,
-    ) -> Result<Vec<(String, JsonValue)>, RequestError> {
+    fn model_check(&self, req: &JsonValue, ctx: &mut ReqCtx) -> Answer {
         let (ir, outcome) = self.load_ir(req, None, ctx)?;
-        let req_states = req.get("max_states").and_then(JsonValue::as_usize);
-        let max_states = req_states
-            .unwrap_or(self.opts.max_states)
-            .min(self.opts.max_states);
-        if req_states.is_some_and(|r| max_states < r) {
-            ctx.clamps.push("max_states");
-        }
-        let req_seconds = req.get("max_seconds").and_then(JsonValue::as_f64);
-        let max_seconds = req_seconds
-            .unwrap_or(self.opts.max_seconds)
-            .min(self.opts.max_seconds);
-        if req_seconds.is_some_and(|r| max_seconds < r) {
-            ctx.clamps.push("max_seconds");
-        }
+        let cap = self.opts.max_states;
+        let requested = req.field("max_states", INTEGER, JsonValue::as_usize)?;
+        let max_states = capped(requested, cap, cap, "max_states", ctx);
+        let cap = self.opts.max_seconds;
+        let requested = req.field("max_seconds", "a non-negative number", |v| {
+            v.as_f64().filter(|s| *s >= 0.0)
+        })?;
+        let max_seconds = capped(requested, cap, cap, "max_seconds", ctx);
         let mc_opts = McOptions {
             max_states,
             max_seconds,
@@ -1161,11 +1160,11 @@ mod tests {
             ),
             (
                 "\"trials\":-5",
-                "shmoo 'trials' must be at least 1, got -5.0",
+                "field 'trials' must be an integer in [0, 2^53]",
             ),
             (
                 "\"trials\":0.5",
-                "shmoo 'trials' must be at least 1, got 0.5",
+                "field 'trials' must be an integer in [0, 2^53]",
             ),
             (
                 "\"trials\":1,\"tolerance\":-1",
@@ -1195,6 +1194,86 @@ mod tests {
                 "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.4],\
                  \"scales\":[1.0],{extra}}}"
             ));
+            assert!(r.contains("\"ok\":true"), "{extra}: {r}");
+        }
+
+        // A mistyped, negative, fractional or inexact field was read as
+        // absent or cast: `sweep` trials of -5 or 0.5 ran zero trials, the
+        // seeds 0, -1, -7 and 0.9 gave one sweep, and `max_states` of -1
+        // or "10" ran the full budget. Each is now its own error line.
+        let kind_ir =
+            |kind: &str, extra: &str| format!("{{\"kind\":\"{kind}\",{extra},\"ir\":{ir_json}}}");
+        let shmoo = |extra: &str| {
+            format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.4],\
+                 \"scales\":[1.0],\"trials\":1,{extra}}}"
+            )
+        };
+        let integer = "an integer in [0, 2^53]";
+        let mut lines = vec![];
+        for trials in ["-5", "0.5", "\"100000\"", "1e300"] {
+            lines.push((
+                kind_ir("sweep", &format!("\"trials\":{trials}")),
+                "trials",
+                integer,
+            ));
+        }
+        for seed in ["-1", "-7", "0.9"] {
+            let extra = format!("\"trials\":2,\"seed\":{seed}");
+            lines.push((kind_ir("sweep", &extra), "seed", integer));
+            lines.push((
+                kind_ir("simulate", &format!("\"seed\":{seed}")),
+                "seed",
+                integer,
+            ));
+            lines.push((shmoo(&format!("\"seed\":{seed}")), "seed", integer));
+        }
+        for states in ["-1", "1.5", "\"10\"", "1e300"] {
+            let extra = format!("\"max_states\":{states}");
+            lines.push((kind_ir("model_check", &extra), "max_states", integer));
+        }
+        lines.extend([
+            (kind_ir("simulate", "\"until\":\"50\""), "until", "a number"),
+            (kind_ir("sweep", "\"until\":\"50\""), "until", "a number"),
+            (kind_ir("sweep", "\"check\":1"), "check", "a boolean"),
+            (
+                kind_ir("sweep", "\"variability\":\"x\""),
+                "variability",
+                "an object",
+            ),
+            (shmoo("\"adaptive\":\"no\""), "adaptive", "a boolean"),
+            (shmoo("\"tolerance\":\"0.1\""), "tolerance", "a number"),
+            (
+                "{\"kind\":\"shmoo\",\"design\":7}".into(),
+                "design",
+                "a string",
+            ),
+            (
+                kind_ir("model_check", "\"max_seconds\":-1"),
+                "max_seconds",
+                "a non-negative number",
+            ),
+            ("{\"id\":7,\"kind\":\"ping\"}".into(), "id", "a string"),
+            (
+                "{\"kind\":\"ping\",\"tenant\":[]}".into(),
+                "tenant",
+                "a string",
+            ),
+            ("{\"kind\":5}".into(), "kind", "a string"),
+        ]);
+        for (line, key, want) in &lines {
+            let r = server.handle_line(line);
+            let error = format!("\"ok\":false,\"error\":\"field '{key}' must be {want}\"");
+            assert!(r.contains(&error), "{key}: {r}");
+        }
+        // Seed 0 is a seed like any other, and no longer aliases -1, -7 or
+        // 0.9; `null` still reads as absent.
+        for extra in [
+            "\"trials\":2,\"seed\":0",
+            "\"trials\":2,\"seed\":null",
+            "\"trials\":2,\"variability\":null",
+        ] {
+            let r = server.handle_line(&kind_ir("sweep", extra));
             assert!(r.contains("\"ok\":true"), "{extra}: {r}");
         }
 

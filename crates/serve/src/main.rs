@@ -38,9 +38,12 @@
 //! request at least MS milliseconds of wall clock into `--trace-dir`
 //! (default `traces`); `--slow-trace-ms 0` traces every request.
 
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use rlse_serve::{fixture_requests, generated_requests, ObserveOptions, Observer, ServeOptions, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
 struct Args {
     input: Option<String>,
@@ -133,7 +136,10 @@ fn parse_args() -> Result<Args, String> {
                 if ms.is_nan() || ms < 0.0 {
                     return Err("--slow-trace-ms must be >= 0".into());
                 }
-                args.obs.slow_trace_us = Some((ms * 1000.0) as u64);
+                // A threshold past u64::MAX µs never fires.
+                let us = Duration::try_from_secs_f64(ms / 1000.0)
+                    .map_or(u64::MAX, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+                args.obs.slow_trace_us = Some(us);
             }
             "--trace-dir" => args.obs.trace_dir = Some(value("--trace-dir")?.into()),
             other => return Err(format!("unknown flag '{other}'")),

@@ -51,7 +51,7 @@
 //! and metrics.
 
 use crate::obs::SchedStats;
-use crate::{AccessRecord, Observer, ServeSummary, Server, MAX_REQUEST_LINE_BYTES};
+use crate::{elapsed_us, AccessRecord, Observer, ServeSummary, Server, MAX_REQUEST_LINE_BYTES};
 use rlse_core::ir::json::JsonValue;
 use rlse_core::telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
@@ -286,12 +286,12 @@ fn read_jobs(
 
 /// Answer one job on the current thread, recording how long it queued.
 fn handle(server: &Server, job: Job) -> (String, AccessRecord, Telemetry) {
-    let picked = Instant::now();
+    let queue_us = elapsed_us(job.enqueued);
     let (response, mut rec, tel) = match &job.line {
         Some(line) => server.handle_recorded(line),
         None => oversized(),
     };
-    rec.queue_us = picked.duration_since(job.enqueued).as_micros() as u64;
+    rec.queue_us = queue_us;
     (response, rec, tel)
 }
 
@@ -492,7 +492,7 @@ fn serve_pool<W: Write>(
             while let Some(done) = pending.remove(&next_idx) {
                 next_idx += 1;
                 let mut rec = done.rec;
-                rec.reorder_us = done.finished.elapsed().as_micros() as u64;
+                rec.reorder_us = elapsed_us(done.finished);
                 if let Err(e) = out.emit(&done.response, rec, &done.tel) {
                     break 'collect Err(e);
                 }
