@@ -23,9 +23,7 @@
 //! frozen analytically and skipped (per-step cost scales with **active**
 //! junctions), the constant part of each cell's MNA stamp and the LU
 //! factorization of its operating-point matrix are cached and reused across
-//! steps (chord Newton), and cell solves within one timestep fan out over a
-//! deterministic worker pool, so results are bit-identical at any thread
-//! count. [`AnalogSim::run_reference`] keeps the original
+//! steps (chord Newton). [`AnalogSim::run_reference`] keeps the original
 //! solve-everything-every-step algorithm verbatim: it is the golden baseline
 //! the gated engine is tested against, and the honest "what schematic
 //! simulation costs" datapoint for the Table-2 comparison. See DESIGN.md
@@ -34,7 +32,6 @@
 
 use crate::solver::{CellTemplate, DenseLu, RhsOp};
 use rlse_core::telemetry::{CellTally, Telemetry};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The magnetic flux quantum in mV·ps.
 pub const PHI0: f64 = 2.067833848;
@@ -203,10 +200,9 @@ impl Default for PulseShape {
     }
 }
 
-/// Per-cell work counters, accumulated locally during the run (no shared
-/// state on the hot path) and folded into the attached [`Telemetry`] handle
-/// once at the end of the run, in cell-index order — so the flushed totals
-/// are identical at any thread count.
+/// Per-cell work counters, accumulated locally during the run and folded
+/// into the attached [`Telemetry`] handle once at the end of the run, in
+/// cell-index order.
 #[derive(Debug, Clone, Copy, Default)]
 struct CellStats {
     /// Steps this cell was solved in phase 1 (activity-gated).
@@ -613,51 +609,20 @@ fn solve_cell(rt: &mut CellRt, tm: &CellTemplate, t: f64, dt: f64, shape: PulseS
     }
 }
 
-/// Phase-1 treatment of one cell: a tentative, independent solve. Sleeping
-/// cells are skipped with their state analytically frozen.
-fn phase1_cell(rt: &mut CellRt, templates: &[CellTemplate], t: f64, dt: f64, shape: PulseShape) {
-    rt.dirty = false;
-    if rt.asleep && t < rt.next_wake {
-        rt.solved = false;
-        rt.fired.clear();
-        return;
-    }
-    rt.asleep = false;
-    solve_cell(rt, &templates[rt.tmpl], t, dt, shape);
-    rt.solved = true;
-    rt.stats.active_steps += 1;
-}
-
-/// Phase 1 of a step over a whole slice (the serial path).
+/// Phase 1 of a step: a tentative, independent solve of every cell.
+/// Sleeping cells are skipped with their state analytically frozen.
 fn phase1(cells: &mut [CellRt], templates: &[CellTemplate], t: f64, dt: f64, shape: PulseShape) {
     for rt in cells {
-        phase1_cell(rt, templates, t, dt, shape);
-    }
-}
-
-/// Phase 1 over the strided index set `offset, offset+stride, …` (the
-/// worker-pool path). Activity travels as a wavefront through consecutive
-/// cell indices, so round-robin assignment balances the active cells across
-/// workers far better than contiguous chunks.
-///
-/// # Safety
-/// Caller must guarantee that no other thread touches the cells of this
-/// index set for the duration of the call (the disjoint stride classes and
-/// the step barriers provide this).
-unsafe fn phase1_strided(
-    shared: CellsPtr,
-    offset: usize,
-    stride: usize,
-    templates: &[CellTemplate],
-    t: f64,
-    dt: f64,
-    shape: PulseShape,
-) {
-    let mut i = offset;
-    while i < shared.len {
-        let rt = unsafe { &mut *shared.ptr.add(i) };
-        phase1_cell(rt, templates, t, dt, shape);
-        i += stride;
+        rt.dirty = false;
+        if rt.asleep && t < rt.next_wake {
+            rt.solved = false;
+            rt.fired.clear();
+            continue;
+        }
+        rt.asleep = false;
+        solve_cell(rt, &templates[rt.tmpl], t, dt, shape);
+        rt.solved = true;
+        rt.stats.active_steps += 1;
     }
 }
 
@@ -764,60 +729,6 @@ struct Runtime {
     trace_labels: Vec<String>,
 }
 
-/// Raw shared view of the cell array for the worker pool. Safety rests on
-/// temporal exclusivity: between the step barriers each worker touches only
-/// its own disjoint index range, and the main thread touches cells only
-/// while the workers are parked at a barrier.
-#[derive(Clone, Copy, Debug)]
-struct CellsPtr {
-    ptr: *mut CellRt,
-    len: usize,
-}
-
-unsafe impl Sync for CellsPtr {}
-unsafe impl Send for CellsPtr {}
-
-/// A sense-reversing spin barrier: the per-step rendezvous cost is a few
-/// atomic operations instead of a mutex + condvar round trip, which matters
-/// at ~2 barriers per 0.1 ps step.
-#[derive(Debug)]
-struct SpinBarrier {
-    n: usize,
-    count: AtomicUsize,
-    sense: AtomicBool,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> Self {
-        SpinBarrier {
-            n,
-            count: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-        }
-    }
-
-    /// Block until all `n` participants arrive. `local` is this
-    /// participant's private phase flag (start at `false`).
-    fn wait(&self, local: &mut bool) {
-        let target = !*local;
-        *local = target;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(target, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != target {
-                spins += 1;
-                if spins < 1 << 14 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
 /// A transient simulation over a network of analog cells.
 #[derive(Debug)]
 pub struct AnalogSim {
@@ -836,15 +747,13 @@ pub struct AnalogSim {
     pub dt: f64,
     /// Stimulus pulse shape.
     pub shape: PulseShape,
-    /// Requested worker count (0 = auto).
-    threads_req: usize,
     tel: Telemetry,
     rt: Option<Runtime>,
 }
 
 /// The recorded pulse times per probe label, plus run statistics.
-/// Implements `PartialEq` so golden tests can assert bit-identical results
-/// across thread counts.
+/// Implements `PartialEq` so tests can assert bit-identical results across
+/// runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalogEvents {
     /// Pulse times (ps) per probe label.
@@ -906,7 +815,6 @@ impl AnalogSim {
             stimuli: Vec::new(),
             dt: 0.1,
             shape: PulseShape::default(),
-            threads_req: 0,
             tel: Telemetry::disabled(),
             rt: None,
         }
@@ -941,19 +849,6 @@ impl AnalogSim {
     pub fn trace_node(&mut self, cell: usize, node: usize, label: &str) {
         self.rt = None;
         self.voltage_probes.push((cell, node, label.to_string()));
-    }
-
-    /// Set the worker count for parallel cell solves: `0` picks a size from
-    /// the host parallelism and the circuit size, `1` forces the serial
-    /// path. Results are bit-identical at any setting.
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads_req = n;
-    }
-
-    /// Builder form of [`set_threads`](Self::set_threads).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.set_threads(n);
-        self
     }
 
     /// Attach a telemetry handle; counters are flushed once per run.
@@ -1050,28 +945,8 @@ impl AnalogSim {
         });
     }
 
-    /// Resolve the effective worker count for this run.
-    fn effective_threads(&self, ncells: usize) -> usize {
-        let req = if self.threads_req == 0 {
-            // Auto: parallelism only pays once there are enough cells to
-            // amortize the per-step rendezvous.
-            if ncells < 16 {
-                1
-            } else {
-                let hw = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                hw.min(ncells / 4)
-            }
-        } else {
-            self.threads_req
-        };
-        req.clamp(1, ncells.max(1))
-    }
-
     /// Run the transient analysis until `t_end` (ps) with the event-gated
-    /// engine. Pulse times match [`run_reference`](Self::run_reference);
-    /// results are bit-identical at any thread count.
+    /// engine. Pulse times match [`run_reference`](Self::run_reference).
     pub fn run(&mut self, t_end: f64) -> AnalogEvents {
         self.ensure_runtime();
         self.reset();
@@ -1079,7 +954,6 @@ impl AnalogSim {
         let shape = self.shape;
         let stride = self.trace_stride.max(1);
         let steps_total = (t_end / dt).ceil() as usize;
-        let nthreads = self.effective_threads(self.cells.len());
         let tel_on = self.tel.is_enabled();
         let rt = self.rt.as_mut().expect("runtime built");
         for (cell, port, times) in &self.stimuli {
@@ -1099,92 +973,20 @@ impl AnalogSim {
         let traces: &[(usize, usize, usize)] = &rt.traces;
         let mut max_active = 0usize;
 
-        if nthreads <= 1 {
-            let mut t = 0.0f64;
-            for step in 0..steps_total {
-                t += dt;
-                if step % stride == 0 {
-                    for &(cell, node, lbl) in traces {
-                        let v = cells[cell].v.get(node).copied().unwrap_or(0.0);
-                        trace_buf[lbl].push((t, v));
-                    }
-                }
-                phase1(cells, templates, t, dt, shape);
-                phase2(cells, templates, tables, &mut rec, t, dt, shape);
-                if tel_on {
-                    max_active = max_active.max(cells.iter().filter(|c| c.solved).count());
+        let mut t = 0.0f64;
+        for step in 0..steps_total {
+            t += dt;
+            if step % stride == 0 {
+                for &(cell, node, lbl) in traces {
+                    let v = cells[cell].v.get(node).copied().unwrap_or(0.0);
+                    trace_buf[lbl].push((t, v));
                 }
             }
-        } else {
-            let shared = CellsPtr {
-                ptr: cells.as_mut_ptr(),
-                len: ncells,
-            };
-            // Round-robin index sets: worker w owns cells w, w+T, w+2T, …
-            // (offset 0 belongs to the main thread).
-            let start_bar = SpinBarrier::new(nthreads);
-            let end_bar = SpinBarrier::new(nthreads);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                let sb = &start_bar;
-                let eb = &end_bar;
-                let df = &done;
-                for offset in 1..nthreads {
-                    s.spawn(move || {
-                        // Capture the whole Send wrapper, not just its
-                        // (non-Send) raw-pointer field.
-                        let shared = shared;
-                        let mut sense_s = false;
-                        let mut sense_e = false;
-                        // Worker-local time accumulates the same f64 ops as
-                        // the main thread, so it is bitwise identical.
-                        let mut tw = 0.0f64;
-                        loop {
-                            sb.wait(&mut sense_s);
-                            if df.load(Ordering::Acquire) {
-                                break;
-                            }
-                            tw += dt;
-                            unsafe {
-                                phase1_strided(shared, offset, nthreads, templates, tw, dt, shape);
-                            }
-                            eb.wait(&mut sense_e);
-                        }
-                    });
-                }
-                let mut sense_s = false;
-                let mut sense_e = false;
-                let mut t = 0.0f64;
-                for step in 0..steps_total {
-                    t += dt;
-                    {
-                        let all =
-                            unsafe { std::slice::from_raw_parts_mut(shared.ptr, shared.len) };
-                        if step % stride == 0 {
-                            for &(cell, node, lbl) in traces {
-                                let v = all[cell].v.get(node).copied().unwrap_or(0.0);
-                                trace_buf[lbl].push((t, v));
-                            }
-                        }
-                    }
-                    start_bar.wait(&mut sense_s);
-                    unsafe {
-                        phase1_strided(shared, 0, nthreads, templates, t, dt, shape);
-                    }
-                    end_bar.wait(&mut sense_e);
-                    {
-                        let all =
-                            unsafe { std::slice::from_raw_parts_mut(shared.ptr, shared.len) };
-                        phase2(all, templates, tables, &mut rec, t, dt, shape);
-                        if tel_on {
-                            max_active =
-                                max_active.max(all.iter().filter(|c| c.solved).count());
-                        }
-                    }
-                }
-                done.store(true, Ordering::Release);
-                start_bar.wait(&mut sense_s);
-            });
+            phase1(cells, templates, t, dt, shape);
+            phase2(cells, templates, tables, &mut rec, t, dt, shape);
+            if tel_on {
+                max_active = max_active.max(cells.iter().filter(|c| c.solved).count());
+            }
         }
 
         let mut ev = AnalogEvents {
@@ -1206,7 +1008,7 @@ impl AnalogSim {
 
         if self.tel.is_enabled() {
             // Per-cell counters were accumulated locally; fold them in
-            // cell-index order so the flush is thread-count independent.
+            // cell-index order.
             let mut totals = CellStats::default();
             let mut by_type: std::collections::BTreeMap<&str, CellTally> = Default::default();
             for cell in rt.cells.iter() {
@@ -1699,25 +1501,4 @@ mod tests {
         let r = sim.run_reference(30.0);
         assert_eq!(r.traces["V"].len(), r.steps);
     }
-
-    #[test]
-    fn thread_counts_are_bit_identical() {
-        let mut sim = AnalogSim::new();
-        let mut prev = None;
-        for _ in 0..6 {
-            let c = sim.add_cell(jtl_cell());
-            if let Some(p) = prev {
-                sim.connect((p, 0), (c, 0));
-            }
-            prev = Some(c);
-        }
-        sim.stimulate(0, 0, &[20.0, 40.0]);
-        sim.probe(5, 0, "OUT");
-        sim.set_threads(1);
-        let one = sim.run(90.0);
-        sim.set_threads(4);
-        let four = sim.run(90.0);
-        assert_eq!(one, four);
-    }
 }
-

@@ -107,8 +107,8 @@ fn model_checking(c: &mut Criterion) {
 }
 
 fn model_checking_designs(c: &mut Criterion) {
-    // Table-3-style composed designs: the workload the sharded zone-graph
-    // engine and the active-clock reduction were built for.
+    // Table-3-style composed designs: the workload the zone-graph engine
+    // and the active-clock reduction were built for.
     let mut group = c.benchmark_group("model_check_design");
     group.sample_size(10);
     for bench in [bench_min_max(), bench_adder_sync()] {

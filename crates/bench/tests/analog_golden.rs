@@ -1,6 +1,5 @@
 //! Golden agreement between the event-gated analog engine and the naive
-//! reference engine on every Table-2 design: exact pulse-time equality at
-//! one thread, and bit-identical full results across thread counts.
+//! reference engine on every Table-2 design: exact pulse-time equality.
 
 use rlse_analog::synth::from_circuit;
 use rlse_bench::{bench_bitonic, bench_c, bench_c_inv, bench_min_max, Bench};
@@ -24,9 +23,8 @@ fn designs() -> Vec<(Bench, f64)> {
 #[test]
 fn gated_engine_matches_reference_pulse_times_on_table2_designs() {
     for (bench, t_end) in designs() {
-        let mut sim = from_circuit(&bench.circuit)
-            .expect("Table 2 designs use only analog-modelled cells")
-            .threads(1);
+        let mut sim =
+            from_circuit(&bench.circuit).expect("Table 2 designs use only analog-modelled cells");
         let golden = sim.run_reference(t_end);
         let gated = sim.run(t_end);
         assert_eq!(
@@ -37,23 +35,6 @@ fn gated_engine_matches_reference_pulse_times_on_table2_designs() {
         assert!(
             !golden.pulses.is_empty(),
             "{}: golden run produced no pulses — the comparison is vacuous",
-            bench.name
-        );
-    }
-}
-
-#[test]
-fn thread_counts_are_bit_identical_on_table2_designs() {
-    for (bench, t_end) in designs() {
-        let mut sim = from_circuit(&bench.circuit)
-            .expect("Table 2 designs use only analog-modelled cells");
-        sim.set_threads(1);
-        let one = sim.run(t_end);
-        sim.set_threads(8);
-        let eight = sim.run(t_end);
-        assert_eq!(
-            one, eight,
-            "{}: results differ between 1 and 8 threads",
             bench.name
         );
     }

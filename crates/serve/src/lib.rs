@@ -50,9 +50,11 @@
 //! [`ServeOptions`] caps what one request may ask for: sweep/shmoo trials,
 //! model-checker states and wall-clock seconds, and the simulation time
 //! horizon. A request asking for more is clamped, and the access log's
-//! `clamps` names the cap. Only the effective `trials` (sweep, shmoo) and
-//! `max_states` (model_check) are echoed in the response; a clamped
-//! `until` or `max_seconds` shows in the access log alone.
+//! `clamps` names the cap. A `shmoo` grid that would run more than
+//! `max_trials` trials in all is refused, not clamped. Only the effective
+//! `trials` (sweep, shmoo) and `max_states` (model_check) are echoed in the
+//! response; a clamped `until` or `max_seconds` shows in the access log
+//! alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -85,7 +87,9 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
 /// never gets more.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Largest trial count a `sweep` or `shmoo` request may run per cell.
+    /// Largest trial count a `sweep` may run, and a `shmoo` per cell. A
+    /// `shmoo` grid of `|sigmas| × |scales| × trials` above it is refused,
+    /// so no request runs more trials than the largest sweep.
     pub max_trials: u64,
     /// Largest model-checker state budget a `model_check` request may use.
     pub max_states: usize,
@@ -94,10 +98,11 @@ pub struct ServeOptions {
     /// Largest simulation time horizon (`until`) in ps; `simulate` requests
     /// without an explicit horizon inherit it when finite.
     pub max_until: f64,
-    /// Worker threads for the engines *inside* one request — sweeps and
-    /// the model checker (0 = let the governor split the host between
-    /// request workers; see [`Server::new`]). Thread count never changes
-    /// response bytes.
+    /// Worker threads for the engines *inside* one `sweep` or `shmoo`
+    /// request, the kinds that gain from them (0 = let the governor split
+    /// the host between request workers; see [`Server::new`]). The model
+    /// checker and the simulator run on one thread. Thread count never
+    /// changes response bytes.
     pub threads: usize,
     /// Concurrent request workers (0 = available parallelism). Responses
     /// are emitted strictly in input order and are byte-identical at any
@@ -254,8 +259,8 @@ pub struct Server {
     opts: ServeOptions,
     /// Resolved request-worker count (the governor ran at construction).
     workers: usize,
-    /// Resolved per-request engine thread count (never 0 — two concurrent
-    /// requests must not each claim every core).
+    /// Resolved engine thread count of one `sweep` or `shmoo` request
+    /// (never 0 — two concurrent requests must not each claim every core).
     engine_threads: usize,
 }
 
@@ -465,11 +470,13 @@ impl Server {
     /// The **thread-budget governor** runs here, once, so concurrent
     /// requests can't each claim the whole host: with `H` hardware threads,
     /// `workers = 0` resolves to `H` request workers, and `threads = 0`
-    /// resolves to `max(1, H / workers)` engine threads per request —
-    /// `workers × engine_threads ≈ H`. Explicit non-zero values are
-    /// honored verbatim (deliberate oversubscription stays possible). The
-    /// defaults (`workers = 1`, `threads = 0`) reproduce the historical
-    /// serial behaviour: one request at a time, each using every core.
+    /// resolves to `max(1, H / workers)` engine threads per `sweep` or
+    /// `shmoo` request — `workers × engine_threads ≈ H`. Only those two
+    /// kinds get engine threads: they run faster on them, while the model
+    /// checker and the simulator are sequential. Explicit non-zero values
+    /// are honored verbatim (deliberate oversubscription stays possible).
+    /// The defaults (`workers = 1`, `threads = 0`) serve one request at a
+    /// time, each sweep or shmoo using every core.
     pub fn new(opts: ServeOptions) -> Self {
         let cache = match opts.max_cache_entries {
             0 => CompiledCache::new(),
@@ -501,8 +508,8 @@ impl Server {
         self.workers
     }
 
-    /// Resolved per-request engine thread count (after the governor's
-    /// split; never 0).
+    /// Resolved engine thread count of one `sweep` or `shmoo` request
+    /// (after the governor's split; never 0).
     pub fn engine_threads(&self) -> usize {
         self.engine_threads
     }
@@ -837,6 +844,21 @@ impl Server {
             ));
         }
         opts.trials = capped(trials, opts.trials, self.opts.max_trials, "trials", ctx);
+        // `max_trials` caps one cell; the grid as a whole may run no more
+        // trials than the largest sweep.
+        let grid = (sigmas.len() as u64)
+            .saturating_mul(scales.len() as u64)
+            .saturating_mul(opts.trials);
+        if grid > self.opts.max_trials {
+            return Err(RequestError(format!(
+                "shmoo grid of {} sigmas x {} scales x {} trials = {grid} trials \
+                 exceeds the {}-trial cap",
+                sigmas.len(),
+                scales.len(),
+                opts.trials,
+                self.opts.max_trials
+            )));
+        }
         if let Some(seed) = req.field("seed", INTEGER, uint)? {
             opts.master_seed = seed;
         }
@@ -897,7 +919,7 @@ impl Server {
         let mc_opts = McOptions {
             max_states,
             max_seconds,
-            threads: self.engine_threads,
+            ..McOptions::default()
         };
         let tr = translate_circuit(&outcome.circuit)?;
         let queries: Vec<IrQuery> = if ir.queries.is_empty() {
@@ -1086,6 +1108,21 @@ mod tests {
             assert!(r.contains("\"ok\":false"), "{scales}: {r}");
             assert!(r.contains("scales"), "{scales}: {r}");
         }
+        // A 400 × 400 grid at one trial a cell ran 160,000 cell sweeps (2.4 s)
+        // under a per-cell cap; the grid itself is capped now.
+        let axis = format!("[{}]", vec!["0.5"; 400].join(","));
+        let r = server.handle_line(&format!(
+            "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":{axis},\
+             \"scales\":{axis},\"trials\":1,\"adaptive\":false}}"
+        ));
+        assert!(r.contains("\"ok\":false"), "{r}");
+        assert!(
+            r.contains(
+                "shmoo grid of 400 sigmas x 400 scales x 1 trials = 160000 trials \
+                 exceeds the 100000-trial cap"
+            ),
+            "{r}"
+        );
         // Every bench builds across the whole accepted range, including a
         // race tree stretched past its feature's zero point.
         for design in rlse_designs::shmoo_design_names() {
@@ -1410,6 +1447,30 @@ mod tests {
         ));
         assert!(r.contains("\"ok\":false"), "{r}");
         assert!(r.contains("NOPE"), "{r}");
+    }
+
+    #[test]
+    fn shmoo_grids_run_no_more_trials_than_the_largest_sweep() {
+        let server = Server::new(ServeOptions {
+            max_trials: 4,
+            ..Default::default()
+        });
+        let shmoo = |extra: &str| {
+            server.handle_line(&format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.0,0.4],\
+                 \"scales\":[1.0,1.2]{extra}}}"
+            ))
+        };
+        let r = shmoo(",\"trials\":1");
+        assert!(r.contains("\"ok\":true"), "2 x 2 x 1 is at the cap: {r}");
+        let r = shmoo(",\"trials\":2");
+        assert!(
+            r.contains("shmoo grid of 2 sigmas x 2 scales x 2 trials = 8 trials exceeds the 4-trial cap"),
+            "{r}"
+        );
+        // The default 200 trials a cell are clamped to the cap first.
+        let r = shmoo("");
+        assert!(r.contains("2 sigmas x 2 scales x 4 trials = 16 trials"), "{r}");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! `--workers N` serves requests through N concurrent request workers
 //! (0 = available parallelism; default 1). Responses still come out
 //! strictly in input order and are byte-identical at any worker count; the
-//! thread governor splits the host between request workers and per-request
-//! engine threads when `--threads` is left at 0. At `--repeat 1` input and
+//! thread governor splits the host between request workers and the engine
+//! threads of each `sweep` or `shmoo` request when `--threads` is left at 0. At `--repeat 1` input and
 //! output stream — responses emerge as requests arrive, so the CLI can sit
 //! on a long-poll pipe.
 //!

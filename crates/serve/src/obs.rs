@@ -151,8 +151,8 @@ impl AccessRecord {
 pub struct SchedStats {
     /// Resolved request-level worker count serving this process.
     pub workers: u64,
-    /// Engine threads granted to each in-flight request by the thread
-    /// governor.
+    /// Engine threads granted to each in-flight `sweep` or `shmoo` request
+    /// by the thread governor.
     pub engine_threads: u64,
     /// Peak depth of the parsed-request input queue.
     pub queue_depth_peak: u64,
@@ -548,7 +548,7 @@ pub fn prometheus_text_for_with_sched(
     gauge(
         &mut out,
         "rlse_sched_engine_threads",
-        "Engine threads the governor grants each in-flight request.",
+        "Engine threads the governor grants each in-flight sweep or shmoo request.",
         sched.engine_threads,
     );
     gauge(

@@ -1,4 +1,4 @@
-//! A parallel zone-based model checker for networks of timed automata — the
+//! A zone-based model checker for networks of timed automata — the
 //! role UPPAAL's `verifyta` plays in the paper's §5.3.
 //!
 //! The checker explores the zone graph: states are pairs of a location
@@ -16,35 +16,28 @@
 //!
 //! # Engine
 //!
-//! Exploration is a **level-synchronous BFS** over the zone graph, run in
-//! three phases per level:
+//! Exploration is a **breadth-first search** over the zone graph, one level
+//! at a time, in two phases per level:
 //!
-//! * **Expand** — the frontier is split into contiguous units and fanned
-//!   across a scoped thread pool (the [`crate::automaton::TaNetwork`] is
-//!   shared read-only); each unit emits successor candidates. Per-unit
-//!   results are flattened in unit order, so the global candidate order is a
-//!   pure function of the frontier, never of thread scheduling. Successor
-//!   generation uses per-`(automaton, location)` edge indices (`τ` edges,
-//!   sends, receives) plus a per-channel receiver table, so a send only
-//!   visits automata that can actually receive on its channel.
-//! * **Insert** — the passed/waiting store is sharded by a hash of the
-//!   location vector; location vectors are interned per shard and stored
-//!   once. Candidates are partitioned by shard and the shards are processed
-//!   in parallel, each consuming its candidates in global candidate order —
-//!   subsumption is local to a location vector, hence local to a shard, so
-//!   the accept/kill decisions are again scheduling-independent. A
-//!   candidate subsumed by a stored zone is dropped; a candidate that
-//!   subsumes stored zones evicts them, and if an evicted zone was accepted
-//!   *earlier in the same level* its entry is marked dead via the
-//!   level-stamp on the bucket slot — dead entries are counted and kept for
-//!   traces but never expanded (the sequential predecessor expanded them: a
-//!   real wasted-work bug).
-//! * **Merge** — a single thread folds the per-shard accept lists in
-//!   candidate order: arena ids are assigned, the next frontier is built
-//!   from surviving entries, and the violation with the smallest candidate
-//!   index is selected. First-found-at-minimum-BFS-depth therefore holds at
-//!   any thread count, and `threads = 1` runs the identical algorithm
-//!   inline without spawning.
+//! * **Expand** — every frontier state, in frontier order, emits its
+//!   successor candidates. Successor generation uses per-`(automaton,
+//!   location)` edge indices (`τ` edges, sends, receives) plus a
+//!   per-channel receiver table, so a send only visits automata that can
+//!   actually receive on its channel.
+//! * **Insert** — the candidates enter the passed/waiting store in
+//!   candidate order. The store interns each location vector once and keeps
+//!   a bucket of zones per vector. A candidate subsumed by a stored zone is
+//!   dropped; an accepted candidate gets its arena id at once, and evicts
+//!   every stored zone it subsumes. If an evicted zone was accepted
+//!   *earlier in the same level* (the level stamp on the bucket slot says
+//!   so), its entry is killed: it is counted and kept for traces but never
+//!   expanded. The surviving accepts, in accept order, form the next
+//!   frontier; if the level accepted a violation, the first one ends the
+//!   search instead.
+//!
+//! Candidate order is a pure function of the frontier, so the verdict,
+//! every [`McStats`] counter and the counterexample (the first violation at
+//! the minimum BFS depth) are deterministic.
 //!
 //! The arena kept for counterexample reconstruction stores only the interned
 //! location id, parent pointer, action, and the global-clock range — zones
@@ -64,19 +57,19 @@
 //!
 //! # Budgets
 //!
-//! `max_states` is checked at level boundaries (crossing a deterministic
-//! point, so the verdict is thread-count independent; one level of overshoot
-//! is possible). `max_seconds` is wall-clock and inherently approximate:
-//! workers poll the elapsed time during expansion and raise a shared abort
-//! flag. Both exhaustions yield `holds = None` with a diagnostic.
+//! `max_states` is checked at level boundaries (a deterministic point; one
+//! level of overshoot is possible). `max_seconds` is wall-clock and
+//! inherently approximate: the elapsed time is polled before each frontier
+//! state is expanded. Both exhaustions yield `holds = None` with a
+//! diagnostic naming the budget, the level and the zones live — nothing
+//! timed, so a `max_states` answer is deterministic.
 
 use crate::automaton::{LocId, Sync as EdgeSync, TaNetwork};
 use crate::dbm::{Dbm, MAX_BOUND};
 use crate::translate::Translation;
 use rlse_core::telemetry::Telemetry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One expected-output specification for Query 1.
@@ -150,10 +143,9 @@ impl McQuery {
 }
 
 /// Structured exploration statistics of one model-checking run. Every field
-/// is a pure function of `(net, query, opts.max_states)` — bit-identical at
-/// any thread count — so these are the numbers flushed into a
-/// [`Telemetry`] handle (all but `max_zone_clocks`) and compared in
-/// determinism tests.
+/// is a pure function of `(net, query, opts.max_states)`, so these are the
+/// numbers flushed into a [`Telemetry`] handle (all but `max_zone_clocks`)
+/// and pinned by the golden tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McStats {
     /// Number of distinct (location vector, zone) states accepted into the
@@ -174,10 +166,6 @@ pub struct McStats {
     /// Same-level accepted entries killed before expansion (the eviction
     /// caught them between accept and the next frontier).
     pub killed: u64,
-    /// Store shards holding at least one live zone when the run ended.
-    pub occupied_shards: usize,
-    /// Live zones in the fullest shard when the run ended.
-    pub max_shard_live: usize,
     /// The most clocks any stored zone tracks, the global clock included:
     /// the largest zone matrix is `(max_zone_clocks + 1)²`. Kept out of
     /// telemetry, so served responses do not depend on it.
@@ -203,7 +191,7 @@ pub struct McResult {
     /// `None` for an ordinary verdict.
     pub diagnostic: Option<String>,
     /// Structured exploration statistics (states, peak store, subsumption
-    /// counters, shard occupancy).
+    /// counters).
     pub stats: McStats,
 }
 
@@ -228,10 +216,8 @@ pub struct McOptions {
     /// seconds — large networks can exhaust memory long before the state
     /// budget (the paper reports such designs as `∞`).
     pub max_seconds: f64,
-    /// Worker thread count: `0` uses the machine's available parallelism,
-    /// `1` runs the identical algorithm inline without spawning. The
-    /// verdict, state count, and counterexample are the same at any value —
-    /// exploration order is deterministic by construction.
+    /// Ignored; exploration is sequential. Kept only so existing struct
+    /// literals that set it still build.
     pub threads: usize,
 }
 
@@ -253,44 +239,45 @@ enum Action {
     Sync { sender: u32, receiver: u32, chan: u32 },
 }
 
-/// Number of store shards (must be a power of two for the mask below).
-const SHARDS: usize = 64;
-
-/// FNV-1a over the location vector, folded to a shard index.
-fn shard_of(locs: &[u32]) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &l in locs {
-        h ^= u64::from(l);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h & (SHARDS as u64 - 1)) as usize
-}
-
-/// A stored zone, stamped with the level and per-level accept index that
-/// produced it so same-level eviction can kill the not-yet-expanded entry.
+/// A stored zone, stamped with the level and the arena id that produced it
+/// so same-level eviction can kill the not-yet-expanded entry.
 struct BucketZone {
     zone: Arc<Dbm>,
     level: u32,
-    lidx: u32,
+    state: u32,
 }
 
-/// One shard of the passed/waiting store: interned location vectors plus
-/// their zone buckets.
+/// The passed/waiting store: interned location vectors plus their zone
+/// buckets.
 #[derive(Default)]
-struct Shard {
+struct Store {
     intern: HashMap<Box<[u32]>, u32>,
     vecs: Vec<Box<[u32]>>,
     buckets: Vec<Vec<BucketZone>>,
-    /// Zones currently stored across all buckets of this shard.
+    /// Zones currently stored across all buckets.
     live: usize,
+}
+
+impl Store {
+    /// The interned id of `locs`, interned with an empty bucket on first
+    /// sight.
+    fn intern(&mut self, locs: &[u32]) -> u32 {
+        if let Some(&id) = self.intern.get(locs) {
+            return id;
+        }
+        let id = self.vecs.len() as u32;
+        self.intern.insert(locs.into(), id);
+        self.vecs.push(locs.into());
+        self.buckets.push(Vec::new());
+        id
+    }
 }
 
 /// Compact per-state record for counterexample reconstruction: no zone, just
 /// the interned location id, the parent pointer, and the global-clock range
 /// captured at accept time (`ghi == i64::MIN` means unbounded or absent).
 struct ArenaEntry {
-    shard: u32,
-    local: u32,
+    locs: u32,
     parent: u32,
     action: Action,
     glo: i64,
@@ -306,65 +293,10 @@ struct Frontier {
 
 /// A successor candidate produced by the expand phase.
 struct Cand {
-    shard: u32,
     locs: Box<[u32]>,
     zone: Arc<Dbm>,
     parent: u32,
     action: Action,
-}
-
-/// Per-shard accept record for one level.
-struct LocalAcc {
-    cand: u32,
-    local: u32,
-    alive: bool,
-    violation: Option<String>,
-}
-
-/// One shard's output for one level: the accepted zones plus the tallies
-/// of candidates dropped by subsumption, stored zones evicted, and
-/// same-level accepts killed before expansion (see [`McStats`]).
-#[derive(Default)]
-struct ShardOut {
-    accs: Vec<LocalAcc>,
-    subsumed: u64,
-    evicted: u64,
-    killed: u64,
-}
-
-/// Run `f(0..units)` across a deterministic scoped thread pool, returning
-/// the per-unit results **in unit order** regardless of which thread ran
-/// which unit. `threads <= 1` (or a single unit) runs inline.
-fn run_units<T, F>(threads: usize, units: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + std::marker::Sync,
-{
-    if threads <= 1 || units <= 1 {
-        return (0..units).map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..units).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(units) {
-            scope.spawn(|| loop {
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                if u >= units {
-                    break;
-                }
-                let out = f(u);
-                *slots[u].lock().expect("unit slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("unit slot poisoned")
-                .expect("every unit index is claimed exactly once")
-        })
-        .collect()
 }
 
 /// Read-only exploration context: the network plus precomputed edge indices.
@@ -597,7 +529,6 @@ impl<'n> Engine<'n> {
                 nl[ai] = e.dst.0 as u32;
                 if let Some(nz) = self.close(&nl, nz) {
                     out.push(Cand {
-                        shard: shard_of(&nl) as u32,
                         locs: nl.into_boxed_slice(),
                         zone: Arc::new(nz),
                         parent,
@@ -637,8 +568,7 @@ impl<'n> Engine<'n> {
                         nl[bi] = e2.dst.0 as u32;
                         if let Some(nz) = self.close(&nl, nz) {
                             out.push(Cand {
-                                shard: shard_of(&nl) as u32,
-                                locs: nl.into_boxed_slice(),
+                                        locs: nl.into_boxed_slice(),
                                 zone: Arc::new(nz),
                                 parent,
                                 action: Action::Sync {
@@ -668,21 +598,12 @@ fn grange(g_idx: Option<usize>, z: &Dbm) -> (i64, i64) {
 }
 
 /// Reconstruct the action trace leading to arena entry `idx`.
-fn trace_to(
-    net: &TaNetwork,
-    shards: &[Mutex<Shard>],
-    arena: &[ArenaEntry],
-    idx: u32,
-) -> Vec<String> {
+fn trace_to(net: &TaNetwork, store: &Store, arena: &[ArenaEntry], idx: u32) -> Vec<String> {
     let mut steps = Vec::new();
     let mut cur = idx;
     loop {
         let e = &arena[cur as usize];
-        let locs = shards[e.shard as usize]
-            .lock()
-            .expect("shard poisoned")
-            .vecs[e.local as usize]
-            .clone();
+        let locs = &store.vecs[e.locs as usize];
         let when = if e.glo == i64::MIN {
             String::new()
         } else if e.ghi == e.glo {
@@ -717,49 +638,16 @@ fn trace_to(
     steps
 }
 
-/// Final store occupancy, for [`McStats`] and the budget diagnostics.
-struct StoreOccupancy {
-    live: usize,
-    occupied: usize,
-    min: usize,
-    max: usize,
-}
-
-impl StoreOccupancy {
-    fn mean(&self) -> usize {
-        self.live.checked_div(self.occupied).unwrap_or(0)
-    }
-}
-
-fn store_occupancy(shards: &mut [Mutex<Shard>]) -> StoreOccupancy {
-    let (mut live, mut occupied, mut min, mut max) = (0usize, 0usize, usize::MAX, 0usize);
-    for s in shards.iter_mut() {
-        let l = s.get_mut().expect("shard poisoned").live;
-        if l > 0 {
-            live += l;
-            occupied += 1;
-            min = min.min(l);
-            max = max.max(l);
-        }
-    }
-    StoreOccupancy {
-        live,
-        occupied,
-        min: if occupied == 0 { 0 } else { min },
-        max,
-    }
-}
-
-/// Model-check `query` over `net` by deterministic parallel zone-graph
-/// exploration (see the module docs for the engine's phase structure).
+/// Model-check `query` over `net` by breadth-first zone-graph exploration
+/// (see the module docs for the engine's phase structure).
 pub fn check(net: &TaNetwork, query: &McQuery, opts: McOptions) -> McResult {
     check_with_telemetry(net, query, opts, None)
 }
 
 /// Like [`check`], additionally flushing into a [`Telemetry`] handle: the
-/// deterministic `mc.*` counters and store peaks from [`McStats`], plus
-/// per-level `mc.expand`/`mc.insert`/`mc.merge` spans and one `mc.check`
-/// span for the whole run on timeline track 0.
+/// deterministic `mc.*` counters and the store peak from [`McStats`], plus
+/// per-level `mc.expand`/`mc.insert` spans and one `mc.check` span for the
+/// whole run on timeline track 0.
 pub fn check_with_telemetry(
     net: &TaNetwork,
     query: &McQuery,
@@ -783,8 +671,6 @@ pub fn check_with_telemetry(
             t.add("mc.violations", 1);
         }
         t.peak("mc.peak_store", r.stats.peak_store as u64);
-        t.peak("mc.occupied_shards", r.stats.occupied_shards as u64);
-        t.peak("mc.max_shard_live", r.stats.max_shard_live as u64);
         if let Some(started) = t0 {
             t.record_span("mc.check", 0, started, r.stats.states as u64);
         }
@@ -799,11 +685,6 @@ fn check_inner(
     tel: Option<&Telemetry>,
 ) -> McResult {
     let start = Instant::now();
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.threads
-    };
 
     // Refuse models whose constants cannot be encoded, instead of silently
     // wrapping `bound as i32` into a wrong verdict.
@@ -910,7 +791,7 @@ fn check_inner(
     };
     let z0 = Arc::new(z0);
 
-    let mut shards: Vec<Mutex<Shard>> = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
+    let mut store = Store::default();
     let mut arena: Vec<ArenaEntry> = Vec::new();
     let mut stats = McStats {
         peak_store: 1,
@@ -918,267 +799,148 @@ fn check_inner(
         ..McStats::default()
     };
 
-    let s0 = shard_of(&init_locs);
-    {
-        let sh = shards[s0].get_mut().expect("shard poisoned");
-        sh.intern
-            .insert(init_locs.clone().into_boxed_slice(), 0);
-        sh.vecs.push(init_locs.clone().into_boxed_slice());
-        sh.buckets.push(vec![BucketZone {
-            zone: z0.clone(),
-            level: 0,
-            lidx: 0,
-        }]);
-        sh.live = 1;
-    }
+    let init = store.intern(&init_locs);
+    store.buckets[init as usize].push(BucketZone {
+        zone: z0.clone(),
+        level: 0,
+        state: 0,
+    });
+    store.live = 1;
     let (glo, ghi) = grange(g_idx, &z0);
     arena.push(ArenaEntry {
-        shard: s0 as u32,
-        local: 0,
+        locs: init,
         parent: u32::MAX,
         action: Action::Init,
         glo,
         ghi,
     });
     if let Some(v) = violation(&init_locs, &z0) {
-        let occ = store_occupancy(&mut shards);
         stats.states = 1;
-        stats.occupied_shards = occ.occupied;
-        stats.max_shard_live = occ.max;
         return McResult {
             holds: Some(false),
             time_secs: start.elapsed().as_secs_f64(),
             violation: Some(v),
-            trace: Some(trace_to(net, &shards, &arena, 0)),
+            trace: Some(trace_to(net, &store, &arena, 0)),
             diagnostic: None,
             stats,
         };
     }
 
-    let aborted = AtomicBool::new(false);
     let mut frontier = vec![Frontier {
         state: 0,
         locs: init_locs.into_boxed_slice(),
         zone: z0,
     }];
     let mut level: u32 = 0;
+    // Both budgets answer alike; the answer holds nothing timed.
+    let exhausted = |budget: String, level: u32, live: usize, stats: McStats| McResult {
+        holds: None,
+        time_secs: start.elapsed().as_secs_f64(),
+        violation: None,
+        trace: None,
+        diagnostic: Some(format!(
+            "{budget} exhausted at level {level}: {live} zones live"
+        )),
+        stats,
+    };
 
     while !frontier.is_empty() {
         level += 1;
+        stats.states = arena.len();
+        stats.levels = level;
         if arena.len() >= opts.max_states {
-            let occ = store_occupancy(&mut shards);
-            stats.states = arena.len();
-            stats.levels = level;
-            return McResult {
-                holds: None,
-                time_secs: start.elapsed().as_secs_f64(),
-                violation: None,
-                trace: None,
-                diagnostic: Some(format!(
-                    "state budget ({}) exhausted after {:.1} s at level {}: {} zones live \
-                     across {}/{} shards (per-shard min {}, mean {:.1}, max {})",
-                    opts.max_states,
-                    start.elapsed().as_secs_f64(),
-                    level,
-                    occ.live,
-                    occ.occupied,
-                    SHARDS,
-                    occ.min,
-                    occ.mean(),
-                    occ.max
-                )),
-                stats,
-            };
+            let budget = format!("state budget ({})", opts.max_states);
+            return exhausted(budget, level, store.live, stats);
         }
 
-        // Phase A: expand the frontier in parallel units; flatten in unit
-        // order so the candidate order is deterministic.
+        // Expand the frontier in order: the candidate order is a pure
+        // function of the frontier.
         let t_expand = tel.and_then(|t| t.now());
-        let unit_size = frontier
-            .len()
-            .div_ceil((threads * 4).max(1))
-            .max(1);
-        let units = frontier.len().div_ceil(unit_size);
-        let cand_lists = run_units(threads, units, |u| {
-            let mut out = Vec::new();
-            if aborted.load(Ordering::Relaxed) {
-                return out;
+        let mut cands: Vec<Cand> = Vec::new();
+        for fe in &frontier {
+            if start.elapsed().as_secs_f64() > opts.max_seconds {
+                let budget = format!("time budget ({}s)", opts.max_seconds);
+                return exhausted(budget, level, store.live, stats);
             }
-            let lo = u * unit_size;
-            let hi = ((u + 1) * unit_size).min(frontier.len());
-            for fe in &frontier[lo..hi] {
-                if start.elapsed().as_secs_f64() > opts.max_seconds {
-                    aborted.store(true, Ordering::Relaxed);
-                    break;
-                }
-                engine.expand_state(&fe.locs, &fe.zone, fe.state, &mut out);
-            }
-            out
-        });
-        if aborted.load(Ordering::Relaxed) {
-            let occ = store_occupancy(&mut shards);
-            stats.states = arena.len();
-            stats.levels = level;
-            return McResult {
-                holds: None,
-                time_secs: start.elapsed().as_secs_f64(),
-                violation: None,
-                trace: None,
-                diagnostic: Some(format!(
-                    "time budget ({}s) exhausted after {:.1} s at level {}: {} zones live \
-                     across {}/{} shards (per-shard min {}, mean {:.1}, max {})",
-                    opts.max_seconds,
-                    start.elapsed().as_secs_f64(),
-                    level,
-                    occ.live,
-                    occ.occupied,
-                    SHARDS,
-                    occ.min,
-                    occ.mean(),
-                    occ.max
-                )),
-                stats,
-            };
+            engine.expand_state(&fe.locs, &fe.zone, fe.state, &mut cands);
         }
         if let (Some(t), Some(t0)) = (tel, t_expand) {
             t.record_span("mc.expand", 0, t0, frontier.len() as u64);
         }
-        let cands: Vec<Cand> = cand_lists.into_iter().flatten().collect();
         stats.candidates += cands.len() as u64;
 
-        // Phase B: partition candidates by shard; process each shard's
-        // candidates in global candidate order (subsumption is per-location
-        // vector, hence shard-local, so this is scheduling-independent).
+        // Insert in candidate order. Accepts get arena ids as they are made;
+        // `next[id - first]` is the entry of arena id `id` until a later
+        // candidate of this level evicts (kills) it.
         let t_insert = tel.and_then(|t| t.now());
-        let mut shard_cands: Vec<Vec<u32>> = vec![Vec::new(); SHARDS];
-        for (i, c) in cands.iter().enumerate() {
-            shard_cands[c.shard as usize].push(i as u32);
-        }
-        let active: Vec<u32> = (0..SHARDS as u32)
-            .filter(|&s| !shard_cands[s as usize].is_empty())
-            .collect();
-        let acc_lists = run_units(threads, active.len(), |u| {
-            let s = active[u] as usize;
-            let mut guard = shards[s].lock().expect("shard poisoned");
-            let sh = &mut *guard;
-            let mut out = ShardOut::default();
-            for &ci in &shard_cands[s] {
-                let cand = &cands[ci as usize];
-                let local = match sh.intern.get(&cand.locs) {
-                    Some(&l) => l,
-                    None => {
-                        let l = sh.vecs.len() as u32;
-                        sh.intern.insert(cand.locs.clone(), l);
-                        sh.vecs.push(cand.locs.clone());
-                        sh.buckets.push(Vec::new());
-                        l
-                    }
-                };
-                let bucket = &mut sh.buckets[local as usize];
-                if bucket.iter().any(|b| b.zone.includes(&cand.zone)) {
-                    out.subsumed += 1;
-                    continue;
+        let first = arena.len() as u32;
+        let mut next: Vec<Option<Frontier>> = Vec::new();
+        let mut found: Option<(u32, String)> = None;
+        for cand in cands {
+            let locs = store.intern(&cand.locs);
+            let bucket = &mut store.buckets[locs as usize];
+            if bucket.iter().any(|b| b.zone.includes(&cand.zone)) {
+                stats.subsumed += 1;
+                continue;
+            }
+            let before = bucket.len();
+            bucket.retain(|b| {
+                let evicted = cand.zone.includes(&b.zone);
+                if evicted && b.level == level {
+                    // Accepted earlier this level but not yet expanded:
+                    // kill it so it never reaches the next frontier.
+                    next[(b.state - first) as usize] = None;
+                    stats.killed += 1;
                 }
-                let before = bucket.len();
-                bucket.retain(|b| {
-                    let evicted = cand.zone.includes(&b.zone);
-                    if evicted && b.level == level {
-                        // Accepted earlier this level but not yet expanded:
-                        // kill it so it never reaches the next frontier.
-                        out.accs[b.lidx as usize].alive = false;
-                        out.killed += 1;
-                    }
-                    !evicted
-                });
-                out.evicted += (before - bucket.len()) as u64;
-                sh.live -= before - bucket.len();
-                let lidx = out.accs.len() as u32;
-                bucket.push(BucketZone {
-                    zone: cand.zone.clone(),
-                    level,
-                    lidx,
-                });
-                sh.live += 1;
-                out.accs.push(LocalAcc {
-                    cand: ci,
-                    local,
-                    alive: true,
-                    violation: violation(&cand.locs, &cand.zone),
-                });
-            }
-            out
-        });
-        if let (Some(t), Some(t0)) = (tel, t_insert) {
-            t.record_span("mc.insert", 0, t0, cands.len() as u64);
-        }
-
-        // Phase C: sequential merge in candidate order — assign arena ids,
-        // pick the minimum-index violation, build the next frontier.
-        let t_merge = tel.and_then(|t| t.now());
-        let mut all: Vec<(u32, LocalAcc)> = Vec::new();
-        for (u, sh_out) in acc_lists.into_iter().enumerate() {
-            let s = active[u];
-            stats.subsumed += sh_out.subsumed;
-            stats.evicted += sh_out.evicted;
-            stats.killed += sh_out.killed;
-            for a in sh_out.accs {
-                all.push((s, a));
-            }
-        }
-        all.sort_by_key(|(_, a)| a.cand);
-        let mut best_violation: Option<(u32, String)> = None;
-        let mut next_frontier = Vec::new();
-        for (s, mut acc) in all {
-            let cand = &cands[acc.cand as usize];
+                !evicted
+            });
+            let evicted = before - bucket.len();
             let id = arena.len() as u32;
+            bucket.push(BucketZone {
+                zone: cand.zone.clone(),
+                level,
+                state: id,
+            });
+            stats.evicted += evicted as u64;
+            store.live = store.live - evicted + 1;
             let (glo, ghi) = grange(g_idx, &cand.zone);
             stats.max_zone_clocks = stats.max_zone_clocks.max(cand.zone.clocks());
             arena.push(ArenaEntry {
-                shard: s,
-                local: acc.local,
+                locs,
                 parent: cand.parent,
                 action: cand.action,
                 glo,
                 ghi,
             });
-            if best_violation.is_none() {
-                if let Some(v) = acc.violation.take() {
-                    best_violation = Some((id, v));
-                }
+            if found.is_none() {
+                found = violation(&cand.locs, &cand.zone).map(|v| (id, v));
             }
-            if acc.alive && best_violation.is_none() {
-                next_frontier.push(Frontier {
-                    state: id,
-                    locs: cand.locs.clone(),
-                    zone: cand.zone.clone(),
-                });
-            }
+            next.push(Some(Frontier {
+                state: id,
+                locs: cand.locs,
+                zone: cand.zone,
+            }));
         }
-        let occ = store_occupancy(&mut shards);
-        stats.peak_store = stats.peak_store.max(occ.live);
-        stats.occupied_shards = stats.occupied_shards.max(occ.occupied);
-        stats.max_shard_live = stats.max_shard_live.max(occ.max);
-        if let (Some(t), Some(t0)) = (tel, t_merge) {
-            t.record_span("mc.merge", 0, t0, arena.len() as u64);
+        stats.peak_store = stats.peak_store.max(store.live);
+        if let (Some(t), Some(t0)) = (tel, t_insert) {
+            t.record_span("mc.insert", 0, t0, arena.len() as u64);
         }
 
-        if let Some((id, v)) = best_violation {
+        if let Some((id, v)) = found {
             stats.states = arena.len();
-            stats.levels = level;
             return McResult {
                 holds: Some(false),
                 time_secs: start.elapsed().as_secs_f64(),
                 violation: Some(v),
-                trace: Some(trace_to(net, &shards, &arena, id)),
+                trace: Some(trace_to(net, &store, &arena, id)),
                 diagnostic: None,
                 stats,
             };
         }
-        frontier = next_frontier;
+        frontier = next.into_iter().flatten().collect();
     }
 
     stats.states = arena.len();
-    stats.levels = level;
     McResult {
         holds: Some(true),
         time_secs: start.elapsed().as_secs_f64(),
@@ -1192,7 +954,7 @@ fn check_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automaton::{Automaton, ClockId, Constraint, LocKind, Location};
+    use crate::automaton::{Automaton, ClockId, Constraint, Edge, LocKind, Location};
     use crate::dbm::Rel;
     use crate::translate::translate_machine;
     use rlse_cells::defs;
@@ -1295,65 +1057,42 @@ mod tests {
             &q2,
             McOptions {
                 max_states: 3,
-                max_seconds: 10.0,
-                threads: 1,
+                ..McOptions::default()
             },
         );
         assert_eq!(r.holds, None);
-        let diag = r.diagnostic.unwrap();
-        assert!(diag.contains("state budget"), "{diag}");
-        // The diagnostic reports elapsed wall-clock and store occupancy.
-        assert!(diag.contains(" s at level "), "{diag}");
-        assert!(diag.contains("zones live"), "{diag}");
-        assert!(diag.contains("shards"), "{diag}");
+        // The diagnostic names the budget, the level and the live zones,
+        // and nothing timed.
+        assert_eq!(
+            r.diagnostic.as_deref(),
+            Some("state budget (3) exhausted at level 3: 3 zones live")
+        );
     }
 
     #[test]
-    fn telemetry_report_is_identical_across_thread_counts() {
+    fn telemetry_report_counts_the_run() {
         let tr = translate_machine(
             &defs::and_elem(),
             &[("a", vec![20.0]), ("b", vec![30.0]), ("clk", vec![50.0])],
             10,
         )
         .unwrap();
-        let q2 = McQuery::query2(&tr);
-        let report_at = |threads: usize| {
-            let tel = Telemetry::new();
-            let opts = McOptions { threads, ..Default::default() };
-            let r = check_with_telemetry(&tr.net, &q2, opts, Some(&tel));
-            assert_eq!(r.holds, Some(true), "{:?}", r.violation);
-            tel.report()
-        };
-        let seq = report_at(1);
-        let par = report_at(4);
-        assert_eq!(seq, par);
-        assert_eq!(seq.to_json(), par.to_json());
-        assert_eq!(seq.counter("mc.runs"), 1);
-        assert!(seq.counter("mc.states") > 0);
+        let tel = Telemetry::new();
+        let r = check_with_telemetry(
+            &tr.net,
+            &McQuery::query2(&tr),
+            McOptions::default(),
+            Some(&tel),
+        );
+        assert_eq!(r.holds, Some(true), "{:?}", r.violation);
+        let report = tel.report();
+        assert_eq!(report.counter("mc.runs"), 1);
+        assert_eq!(report.counter("mc.states"), r.states() as u64);
+        assert!(report.counter("mc.states") > 0);
         // Every stored state except the initial one was once a candidate.
-        assert!(seq.counter("mc.candidates") + 1 >= seq.counter("mc.states"));
-        assert!(seq.gauge("mc.peak_store") > 0);
-    }
-
-    #[test]
-    fn sequential_and_parallel_runs_are_identical() {
-        let tr = translate_machine(
-            &defs::and_elem(),
-            &[("a", vec![20.0]), ("b", vec![49.0]), ("clk", vec![50.0])],
-            10,
-        )
-        .unwrap();
-        for query in [
-            McQuery::query2(&tr),
-            McQuery::query1(&tr, &[("q", vec![59.2])]),
-        ] {
-            let seq = check(&tr.net, &query, McOptions { threads: 1, ..Default::default() });
-            let par = check(&tr.net, &query, McOptions { threads: 4, ..Default::default() });
-            assert_eq!(seq.holds, par.holds);
-            assert_eq!(seq.stats, par.stats);
-            assert_eq!(seq.violation, par.violation);
-            assert_eq!(seq.trace, par.trace);
-        }
+        assert!(report.counter("mc.candidates") + 1 >= report.counter("mc.states"));
+        assert_eq!(report.gauge("mc.peak_store"), r.peak_store() as u64);
+        assert!(report.gauge("mc.peak_store") > 0);
     }
 
     /// A single-location automaton whose invariant is the given constraint.
@@ -1372,6 +1111,77 @@ mod tests {
             edges: vec![],
         });
         net
+    }
+
+    /// One automaton over one clock `x` whose zones at `L` grow with the
+    /// level: `l0 → L [x ≥ 5]`, `l0 → L [x ≥ 3]`, `l0 → K`, `K → L`,
+    /// `L → M [x ≥ 1]`.
+    fn evicting_net() -> TaNetwork {
+        let mut net = TaNetwork::new(1);
+        let x = net.add_clock("x");
+        let loc = |name: &str| Location {
+            name: name.into(),
+            invariant: vec![],
+            kind: LocKind::Normal,
+            committed: false,
+        };
+        let edge = |src: usize, dst: usize, guard: Vec<Constraint>| Edge {
+            src: LocId(src),
+            dst: LocId(dst),
+            sync: EdgeSync::Tau,
+            guard,
+            resets: vec![],
+        };
+        net.automata.push(Automaton {
+            name: "A".into(),
+            init: LocId(0),
+            locations: vec![loc("l0"), loc("L"), loc("K"), loc("M")],
+            edges: vec![
+                edge(0, 1, vec![Constraint::new(x, Rel::Ge, 5)]),
+                edge(0, 1, vec![Constraint::new(x, Rel::Ge, 3)]),
+                edge(0, 2, vec![]),
+                edge(2, 1, vec![]),
+                edge(1, 3, vec![Constraint::new(x, Rel::Ge, 1)]),
+            ],
+        });
+        net
+    }
+
+    #[test]
+    fn a_subsuming_candidate_evicts_and_kills_a_same_level_accept() {
+        // Level 1 accepts L[x≥5], then L[x≥3] evicts and kills it (it is
+        // never expanded), and accepts K. Level 2 accepts M from L[x≥3] and
+        // L[x≥0] from K, which evicts L[x≥3] (already expanded, so not a
+        // kill). Level 3's M from L[x≥0] is subsumed.
+        let r = check(
+            &evicting_net(),
+            &McQuery::NoErrorState(vec![]),
+            McOptions::default(),
+        );
+        assert_eq!(r.holds, Some(true));
+        assert_eq!(
+            r.stats,
+            McStats {
+                states: 6,
+                peak_store: 4,
+                levels: 3,
+                candidates: 6,
+                subsumed: 1,
+                evicted: 2,
+                killed: 1,
+                max_zone_clocks: 1,
+            }
+        );
+        // The killed accept is never expanded: its M successor would be a
+        // seventh candidate.
+        let m = McQuery::NoErrorState(vec![(0, LocId(3))]);
+        let r = check(&evicting_net(), &m, McOptions::default());
+        assert_eq!(r.holds, Some(false));
+        assert_eq!(r.stats.states, 6);
+        assert_eq!(
+            r.trace.unwrap(),
+            ["initial state", "tau -> A.L", "tau -> A.M"]
+        );
     }
 
     #[test]

@@ -75,61 +75,6 @@ fn every_basic_cell_passes_both_queries() {
 }
 
 #[test]
-fn parallel_and_sequential_checks_agree_on_every_cell() {
-    // The sharded engine must be deterministic: a 1-thread (inline
-    // sequential) run and a 4-thread run have to agree not just on the
-    // verdict but on the explored-state count and peak store size, for
-    // every stdlib cell and both queries.
-    for (name, _) in defs::all_cells() {
-        let circ = cell_circuit(name).unwrap();
-        let mut sim = Simulation::new(circ);
-        let events = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let circ = sim.into_circuit().unwrap();
-        let expected: Vec<(String, Vec<f64>)> = circ
-            .output_wires()
-            .into_iter()
-            .map(|w| {
-                let n = circ.wire_name(w).to_string();
-                let t = events
-                    .times(&n)
-                    .iter()
-                    .map(|t| (t * 10.0).round() / 10.0)
-                    .collect();
-                (n, t)
-            })
-            .collect();
-        let tr = translate_circuit(&circ).unwrap();
-        let refs: Vec<(&str, Vec<f64>)> = expected
-            .iter()
-            .map(|(n, t)| (n.as_str(), t.clone()))
-            .collect();
-        for query in [McQuery::query1(&tr, &refs), McQuery::query2(&tr)] {
-            let seq = check(
-                &tr.net,
-                &query,
-                McOptions {
-                    max_states: 200_000,
-                    threads: 1,
-                    ..McOptions::default()
-                },
-            );
-            let par = check(
-                &tr.net,
-                &query,
-                McOptions {
-                    max_states: 200_000,
-                    threads: 4,
-                    ..McOptions::default()
-                },
-            );
-            assert_eq!(seq.holds, par.holds, "{name}");
-            assert_eq!(seq.stats, par.stats, "{name}");
-                        assert_eq!(seq.violation, par.violation, "{name}");
-        }
-    }
-}
-
-#[test]
 fn model_checker_catches_injected_hold_violation() {
     // Pulse `a` 1 ps after the clock: lands inside the 3.0 ps hold window.
     let mut c = Circuit::new();

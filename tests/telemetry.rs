@@ -103,26 +103,24 @@ fn sweep_report_is_identical_across_thread_counts() {
     assert_eq!(one.counter("sim.runs"), 64);
 }
 
-/// Same contract for the model checker at 1 vs 4 shard workers.
+/// The model checker's report carries its run's deterministic counters.
 #[test]
-fn model_checker_report_is_identical_across_thread_counts() {
+fn model_checker_report_matches_its_stats() {
     let tr = translate_machine(&rlse::cells::defs::and_elem(), &and_inputs(), 10).unwrap();
-    let q2 = McQuery::query2(&tr);
-    let report_at = |threads: usize| {
-        let tel = Telemetry::new();
-        let opts = McOptions {
-            threads,
-            ..Default::default()
-        };
-        let r = check_with_telemetry(&tr.net, &q2, opts, Some(&tel));
-        assert_eq!(r.holds, Some(true), "{:?}", r.violation);
-        assert_eq!(r.states() as u64, tel.report().counter("mc.states"));
-        tel.report()
-    };
-    let seq = report_at(1);
-    let par = report_at(4);
-    assert_eq!(seq, par);
-    assert_eq!(seq.to_json(), par.to_json());
+    let tel = Telemetry::new();
+    let r = check_with_telemetry(
+        &tr.net,
+        &McQuery::query2(&tr),
+        McOptions::default(),
+        Some(&tel),
+    );
+    assert_eq!(r.holds, Some(true), "{:?}", r.violation);
+    let report = tel.report();
+    assert_eq!(report.counter("mc.runs"), 1);
+    assert_eq!(report.counter("mc.states"), r.states() as u64);
+    assert_eq!(report.counter("mc.levels"), u64::from(r.stats.levels));
+    assert_eq!(report.counter("mc.candidates"), r.stats.candidates);
+    assert_eq!(report.gauge("mc.peak_store"), r.peak_store() as u64);
 }
 
 /// The disabled handle is a no-op everywhere: nothing is counted, no span
