@@ -5,9 +5,10 @@
 //!
 //! The golden pins the zone checker's served output across engine changes:
 //! both queries (Query 2 and the self-certifying Query 1) on min_max,
-//! race_tree and adder_sync, a Query 1 whose expected times are all 1 ps late,
-//! and a request whose `max_states` and `max_seconds` are clamped to the
-//! server's budgets. Regenerate only for an intended output change, and
+//! race_tree, adder_sync and bitonic_4, a Query 1 whose expected times are
+//! all 1 ps late, a request whose `max_states` and `max_seconds` are clamped
+//! to the server's budgets, and a bitonic_8 request that ends in its state
+//! budget. Regenerate only for an intended output change, and
 //! only from the commit before an engine change:
 //!
 //! ```text
@@ -54,6 +55,16 @@ fn requests() -> Vec<String> {
     out.push(mc(
         "race_tree-clamped",
         "\"max_states\":5000000,\"max_seconds\":1e9,",
+        &ir.to_value().to_compact(),
+    ));
+    // The bigger zones of the sorters: bitonic_4 to the verdict, bitonic_8
+    // to the deterministic budget answer.
+    let ir = design_ir_with_expected_outputs("bitonic_4", 1.0);
+    out.push(mc("bitonic_4-both", "", &ir.to_value().to_compact()));
+    let ir = design_ir_with_expected_outputs("bitonic_8", 1.0);
+    out.push(mc(
+        "bitonic_8-budget",
+        "\"max_states\":1000,",
         &ir.to_value().to_compact(),
     ));
     out
