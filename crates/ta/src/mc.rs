@@ -64,11 +64,11 @@
 //! diagnostic naming the budget, the level and the zones live — nothing
 //! timed, so a `max_states` answer is deterministic.
 
-use crate::automaton::{LocId, Sync as EdgeSync, TaNetwork};
+use crate::automaton::{ClockId, Edge, LocId, Sync as EdgeSync, TaNetwork};
 use crate::dbm::{Dbm, MAX_BOUND};
 use crate::translate::Translation;
 use rlse_core::telemetry::Telemetry;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -247,29 +247,107 @@ struct BucketZone {
     state: u32,
 }
 
+/// A multiply-rotate hash of a location vector, two locations per step in
+/// four independent lanes. Each step is a bijection of its lane, so two
+/// vectors that differ in one location never collide.
+fn hash_locs(locs: &[u32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(K).rotate_left(23);
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut chunks = locs.chunks_exact(8);
+    for c in &mut chunks {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, u64::from(c[2 * j]) | u64::from(c[2 * j + 1]) << 32);
+        }
+    }
+    let h = lanes.iter().fold(0, |h, &l| step(h, l));
+    chunks.remainder().iter().fold(h, |h, &x| step(h, u64::from(x)))
+}
+
+/// Interned location vectors, in one flat array. The table maps each
+/// vector's [`hash_locs`] to the first id with that hash, and ids with equal
+/// hashes are chained, so a lookup hashes a vector once and growing the
+/// table rehashes only the `u64` keys. A bitonic_8 vector is 2.3 KB, where
+/// rehashing whole vectors took a fifth of the insert phase.
+struct Intern {
+    first: HashMap<u64, u32>,
+    /// Per id: the next id with the same hash, or `u32::MAX`.
+    next: Vec<u32>,
+    /// Vector `id` is `vecs[id * width..(id + 1) * width]`.
+    vecs: Vec<u32>,
+    width: usize,
+}
+
+impl Intern {
+    /// The id of `locs`, and whether it was interned just now.
+    fn intern(&mut self, locs: &[u32]) -> (u32, bool) {
+        let id = self.next.len() as u32;
+        match self.first.entry(hash_locs(locs)) {
+            Entry::Vacant(v) => {
+                v.insert(id);
+            }
+            Entry::Occupied(o) => {
+                let mut at = *o.get();
+                loop {
+                    if self.locs(at) == locs {
+                        return (at, false);
+                    }
+                    match self.next[at as usize] {
+                        u32::MAX => break self.next[at as usize] = id,
+                        n => at = n,
+                    }
+                }
+            }
+        }
+        self.next.push(u32::MAX);
+        self.vecs.extend_from_slice(locs);
+        (id, true)
+    }
+
+    /// The location vector interned as `id`.
+    fn locs(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.vecs[at..at + self.width]
+    }
+}
+
 /// The passed/waiting store: interned location vectors plus their zone
 /// buckets.
-#[derive(Default)]
 struct Store {
-    intern: HashMap<Box<[u32]>, u32>,
-    vecs: Vec<Box<[u32]>>,
+    intern: Intern,
+    /// Per interned id: its zones.
     buckets: Vec<Vec<BucketZone>>,
     /// Zones currently stored across all buckets.
     live: usize,
 }
 
 impl Store {
+    fn new(width: usize) -> Self {
+        Store {
+            intern: Intern {
+                first: HashMap::new(),
+                next: Vec::new(),
+                vecs: Vec::new(),
+                width,
+            },
+            buckets: Vec::new(),
+            live: 0,
+        }
+    }
+
     /// The interned id of `locs`, interned with an empty bucket on first
     /// sight.
     fn intern(&mut self, locs: &[u32]) -> u32 {
-        if let Some(&id) = self.intern.get(locs) {
-            return id;
+        let (id, new) = self.intern.intern(locs);
+        if new {
+            self.buckets.push(Vec::new());
         }
-        let id = self.vecs.len() as u32;
-        self.intern.insert(locs.into(), id);
-        self.vecs.push(locs.into());
-        self.buckets.push(Vec::new());
         id
+    }
+
+    /// The location vector interned as `id`.
+    fn locs(&self, id: u32) -> &[u32] {
+        self.intern.locs(id)
     }
 }
 
@@ -284,80 +362,137 @@ struct ArenaEntry {
     ghi: i64,
 }
 
-/// A frontier state awaiting expansion.
+/// A frontier state awaiting expansion; `locs` is its interned location
+/// vector.
 struct Frontier {
     state: u32,
-    locs: Box<[u32]>,
+    locs: u32,
     zone: Arc<Dbm>,
 }
 
 /// A successor candidate produced by the expand phase.
 struct Cand {
-    locs: Box<[u32]>,
-    zone: Arc<Dbm>,
+    zone: Dbm,
     parent: u32,
     action: Action,
 }
 
-/// Read-only exploration context: the network plus precomputed edge indices.
-struct Engine<'n> {
+/// The expand phase's output and working space, reused level after level,
+/// so a successor allocates only the zone it keeps.
+struct Successors {
+    cands: Vec<Cand>,
+    /// Candidate `k`'s location vector is `locs[k * width..(k + 1) * width]`.
+    locs: Vec<u32>,
+    /// The successor zone under construction.
+    zone: Dbm,
+    /// The automata with an edge to take at the state being expanded.
+    movers: Vec<u32>,
+    /// The query's maximal clock constants.
+    max: Vec<i64>,
+    /// Extrapolation's loosened-entry list.
+    loosened: Vec<(u32, u32, i32)>,
+}
+
+/// Rows of items in one flat array: row `r` is
+/// `items[start[r]..start[r + 1]]`.
+#[derive(Debug)]
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    /// `rows` rows from `(row, item)` pairs; a row keeps its items in
+    /// their order among the pairs.
+    fn new(rows: usize, mut pairs: Vec<(usize, T)>) -> Self {
+        pairs.sort_by_key(|p| p.0); // stable
+        let start = (0..=rows)
+            .map(|r| pairs.partition_point(|p| p.0 < r) as u32)
+            .collect();
+        Csr {
+            start,
+            items: pairs.into_iter().map(|p| p.1).collect(),
+        }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
+
+/// The checker's tables for one network: edge indices and clock activity
+/// per location, all in flat arrays indexed by a *flat location*
+/// (`loc0[automaton] + location`). Built once and shared by every query run
+/// over the network.
+#[derive(Debug)]
+pub struct Checker<'n> {
     net: &'n TaNetwork,
+    /// The network's maximal clock constants, before a query raises the
+    /// global clock's.
     max_consts: Vec<i64>,
-    /// Per automaton: which locations are committed.
-    committed: Vec<Vec<bool>>,
-    /// `tau[aut][loc]` — indices of τ edges leaving `loc`.
-    tau: Vec<Vec<Vec<u32>>>,
-    /// `send[aut][loc]` — `(channel, edge index)` of sends leaving `loc`.
-    send: Vec<Vec<Vec<(u32, u32)>>>,
-    /// `recv[aut][loc]` — `(channel, edge index)` of receives leaving `loc`.
-    recv: Vec<Vec<Vec<(u32, u32)>>>,
-    /// `recv_aut[chan]` — automata with at least one receive on `chan`.
-    recv_aut: Vec<Vec<u32>>,
+    /// The flat index of each automaton's location 0.
+    loc0: Vec<usize>,
+    /// Per flat location: [`COMMITTED`], [`HAS_TAU`] and [`HAS_SEND`].
+    flags: Vec<u8>,
+    /// Per flat location: indices of the τ edges leaving it.
+    tau: Csr<u32>,
+    /// Per flat location: `(channel, edge index)` of the sends leaving it.
+    send: Csr<(u32, u32)>,
+    /// Per flat location: `(channel, edge index)` of the receives leaving it.
+    recv: Csr<(u32, u32)>,
+    /// Per channel: the automata with at least one receive on it.
+    recv_aut: Csr<u32>,
     /// Words per clock bitset.
-    clock_words: usize,
-    /// `active[aut][loc]` — bitset of clocks automaton `aut` may read
-    /// (guard or invariant) before resetting them, starting from `loc`.
-    active: Vec<Vec<Box<[u64]>>>,
+    words: usize,
+    /// Flat location `l`'s bitset `active[l * words..(l + 1) * words]`: the
+    /// clocks its automaton may read (guard or invariant) before resetting
+    /// them, starting from `l`.
+    active: Vec<u64>,
+    /// Per clock (0-based): the automata whose activity holds it at some
+    /// location, the only ones that can keep it live.
+    readers: Csr<u32>,
     /// The global clock (0-based), exempt from freeing: queries read it.
     global: Option<usize>,
 }
 
-/// Per-location clock activity of one automaton (Daws–Yovine): clock `c` is
-/// active at `l` when some path from `l` reads `c` (in an invariant or
-/// guard) before this automaton resets it. Backward fixpoint over the
-/// automaton's edge graph.
-fn clock_activity(a: &crate::automaton::Automaton, words: usize) -> Vec<Box<[u64]>> {
-    let set = |m: &mut [u64], c: usize| m[c / 64] |= 1u64 << (c % 64);
-    let mut act: Vec<Box<[u64]>> = a
-        .locations
-        .iter()
-        .map(|_| vec![0u64; words].into_boxed_slice())
-        .collect();
+/// [`Checker::flags`] bit: the location is committed.
+const COMMITTED: u8 = 1;
+/// [`Checker::flags`] bit: a τ edge leaves the location.
+const HAS_TAU: u8 = 2;
+/// [`Checker::flags`] bit: a send leaves the location.
+const HAS_SEND: u8 = 4;
+
+/// Clock activity (Daws–Yovine) of every location, as flat bitsets of
+/// `words` words: clock `c` is active at `l` when some path from `l` reads
+/// `c` (in an invariant or guard) before its automaton resets it. The least
+/// fixpoint of "a location reads what it reads itself, plus what each
+/// successor reads less the edge's resets", one edge pass per round.
+fn clock_activity(net: &TaNetwork, loc0: &[usize], locations: usize, words: usize) -> Vec<u64> {
+    let mut act = vec![0u64; locations * words];
+    let mut set = |l: usize, c: usize| act[l * words + c / 64] |= 1u64 << (c % 64);
+    for (a, &base) in net.automata.iter().zip(loc0) {
+        for (li, l) in a.locations.iter().enumerate() {
+            l.invariant.iter().for_each(|c| set(base + li, c.clock.0));
+        }
+        for e in &a.edges {
+            e.guard.iter().for_each(|c| set(base + e.src.0, c.clock.0));
+        }
+    }
     loop {
         let mut changed = false;
-        for (li, l) in a.locations.iter().enumerate() {
-            let mut new = vec![0u64; words].into_boxed_slice();
-            for c in &l.invariant {
-                set(&mut new, c.clock.0);
-            }
+        for (a, &base) in net.automata.iter().zip(loc0) {
             for e in &a.edges {
-                if e.src.0 != li {
-                    continue;
+                let (src, dst) = ((base + e.src.0) * words, (base + e.dst.0) * words);
+                for w in 0..words {
+                    let mut inherited = act[dst + w];
+                    for r in e.resets.iter().filter(|r| r.0 / 64 == w) {
+                        inherited &= !(1u64 << (r.0 % 64));
+                    }
+                    if inherited & !act[src + w] != 0 {
+                        act[src + w] |= inherited;
+                        changed = true;
+                    }
                 }
-                for c in &e.guard {
-                    set(&mut new, c.clock.0);
-                }
-                let mut inherited = act[e.dst.0].clone();
-                for r in &e.resets {
-                    inherited[r.0 / 64] &= !(1u64 << (r.0 % 64));
-                }
-                for (w, i) in new.iter_mut().zip(inherited.iter()) {
-                    *w |= i;
-                }
-            }
-            if new != act[li] {
-                act[li] = new;
-                changed = true;
             }
         }
         if !changed {
@@ -380,120 +515,191 @@ fn apply_guard(z: &mut Dbm, guard: &[crate::automaton::Constraint]) -> bool {
     true
 }
 
-impl<'n> Engine<'n> {
-    fn new(net: &'n TaNetwork, extra_global_const: i64) -> Self {
-        let mut max_consts = net.max_constants();
-        if let Some(g) = net.global_clock {
-            max_consts[g.0] = max_consts[g.0].max(extra_global_const);
+impl<'n> Checker<'n> {
+    /// Build the tables for `net`.
+    pub fn new(net: &'n TaNetwork) -> Self {
+        let mut loc0 = Vec::with_capacity(net.automata.len());
+        let mut locations = 0;
+        for a in &net.automata {
+            loc0.push(locations);
+            locations += a.locations.len();
         }
-        let committed = net
-            .automata
-            .iter()
-            .map(|a| a.locations.iter().map(|l| l.committed).collect())
-            .collect();
-        let mut tau = Vec::with_capacity(net.automata.len());
-        let mut send = Vec::with_capacity(net.automata.len());
-        let mut recv = Vec::with_capacity(net.automata.len());
-        let mut recv_aut: Vec<Vec<u32>> = vec![Vec::new(); net.chan_names.len()];
-        for (ai, a) in net.automata.iter().enumerate() {
-            let mut t = vec![Vec::new(); a.locations.len()];
-            let mut s = vec![Vec::new(); a.locations.len()];
-            let mut r = vec![Vec::new(); a.locations.len()];
-            let mut receives = vec![false; net.chan_names.len()];
+        let (mut tau, mut send, mut recv, mut recv_aut) = (vec![], vec![], vec![], vec![]);
+        for (ai, (a, &base)) in net.automata.iter().zip(&loc0).enumerate() {
             for (ei, e) in a.edges.iter().enumerate() {
+                let (src, ei) = (base + e.src.0, ei as u32);
                 match e.sync {
-                    EdgeSync::Tau => t[e.src.0].push(ei as u32),
-                    EdgeSync::Send(ch) => s[e.src.0].push((ch.0 as u32, ei as u32)),
+                    EdgeSync::Tau => tau.push((src, ei)),
+                    EdgeSync::Send(ch) => send.push((src, (ch.0 as u32, ei))),
                     EdgeSync::Recv(ch) => {
-                        r[e.src.0].push((ch.0 as u32, ei as u32));
-                        receives[ch.0] = true;
+                        recv.push((src, (ch.0 as u32, ei)));
+                        recv_aut.push((ch.0, ai as u32));
                     }
                 }
             }
-            for (ch, &has) in receives.iter().enumerate() {
-                if has {
-                    recv_aut[ch].push(ai as u32);
-                }
-            }
-            tau.push(t);
-            send.push(s);
-            recv.push(r);
         }
-        let clock_words = net.clock_names.len().div_ceil(64);
-        let active = net
+        // One entry per receiving automaton, in automaton order.
+        recv_aut.sort_unstable();
+        recv_aut.dedup();
+        let (tau, send) = (Csr::new(locations, tau), Csr::new(locations, send));
+        let flags = net
             .automata
             .iter()
-            .map(|a| clock_activity(a, clock_words))
+            .flat_map(|a| a.locations.iter().map(|l| l.committed))
+            .enumerate()
+            .map(|(l, committed)| {
+                let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+                bit(committed, COMMITTED)
+                    | bit(!tau.row(l).is_empty(), HAS_TAU)
+                    | bit(!send.row(l).is_empty(), HAS_SEND)
+            })
             .collect();
-        Engine {
+        let words = net.clock_names.len().div_ceil(64);
+        let active = clock_activity(net, &loc0, locations, words);
+        let mut readers = Vec::new();
+        for (ai, (a, &base)) in net.automata.iter().zip(&loc0).enumerate() {
+            for l in base..base + a.locations.len() {
+                for (w, &word) in active[l * words..(l + 1) * words].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        readers.push((w * 64 + bits.trailing_zeros() as usize, ai as u32));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+        readers.sort_unstable();
+        readers.dedup();
+        Checker {
             net,
-            max_consts,
-            committed,
+            max_consts: net.max_constants(),
+            active,
+            flags,
             tau,
             send,
-            recv,
-            recv_aut,
-            clock_words,
-            active,
+            recv: Csr::new(locations, recv),
+            recv_aut: Csr::new(net.chan_names.len(), recv_aut),
+            readers: Csr::new(net.clock_names.len(), readers),
+            loc0,
+            words,
             global: net.global_clock.map(|g| g.0),
         }
     }
 
-    /// The clocks live at `locs`, as a bitset over 0-based clock ids: every
-    /// clock some automaton may read there before resetting it, plus the
-    /// global clock, which the queries read.
-    fn live_clocks(&self, locs: &[u32]) -> Box<[u64]> {
-        let mut used = vec![0u64; self.clock_words].into_boxed_slice();
-        for (ai, &l) in locs.iter().enumerate() {
-            for (w, a) in used.iter_mut().zip(self.active[ai][l as usize].iter()) {
-                *w |= a;
-            }
-        }
-        if let Some(g) = self.global {
-            used[g / 64] |= 1u64 << (g % 64);
-        }
-        used
+    /// The flat location of automaton `ai` in `locs`.
+    fn flat(&self, locs: &[u32], ai: usize) -> usize {
+        self.loc0[ai] + locs[ai] as usize
     }
 
-    /// Active-clock reduction: free every clock (except the global one) no
-    /// automaton can read again before resetting it. Dead clock values
-    /// cannot influence any future transition or query, so freeing them is
-    /// exact for location reachability and global-clock ranges — it merges
-    /// states that differ only in dead dimensions (fewer states, smaller
-    /// store) and drops their rows and columns from the zone, so every
-    /// later operation on it runs over the live clocks only.
-    fn free_inactive_clocks(&self, locs: &[u32], z: &mut Dbm) {
-        let live = self.live_clocks(locs);
-        z.retain(|c| has_clock(&live, c - 1));
+    /// Whether 0-based clock `c` is live at `locs`: the global clock always
+    /// (the queries read it), any other when an automaton that reads it
+    /// may read it from its location in `locs` before resetting it.
+    fn is_live(&self, locs: &[u32], c: usize) -> bool {
+        self.global == Some(c)
+            || self.readers.row(c).iter().any(|&a| {
+                let at = self.flat(locs, a as usize) * self.words;
+                has_clock(&self.active[at..at + self.words], c)
+            })
     }
 
+    /// Apply the invariants of `locs`. Every invariant constrains a clock
+    /// live at its location, and a closed zone tracks exactly the live
+    /// clocks, so they are found through the tracked clocks' readers rather
+    /// than a scan over every automaton. The order they are applied in
+    /// changes nothing: the result is the intersection, in canonical form.
     fn apply_invariants(&self, locs: &[u32], z: &mut Dbm) -> bool {
-        for (ai, a) in self.net.automata.iter().enumerate() {
-            for c in &a.locations[locs[ai] as usize].invariant {
-                if !z.constrain_clock(c.clock.0 + 1, c.rel, c.bound as i32) {
-                    return false;
+        debug_assert!(
+            self.net.automata.iter().zip(locs).all(|(a, &l)| {
+                let inv = &a.locations[l as usize].invariant;
+                inv.iter().all(|c| z.tracked().binary_search(&(c.clock.0 + 1)).is_ok())
+            }),
+            "an invariant reads an untracked clock"
+        );
+        for k in 0..z.clocks() {
+            let c = z.tracked()[k] - 1;
+            for &a in self.readers.row(c) {
+                let a = a as usize;
+                let inv = &self.net.automata[a].locations[locs[a] as usize].invariant;
+                for con in inv.iter().filter(|con| con.clock.0 == c) {
+                    if !z.constrain_clock(c + 1, con.rel, con.bound as i32) {
+                        return false;
+                    }
                 }
             }
         }
         true
     }
 
-    /// Finalize a successor zone: invariants, delay closure, invariants
-    /// again, extrapolation. Returns `None` if empty.
-    fn close(&self, locs: &[u32], mut z: Dbm) -> Option<Dbm> {
-        if !self.apply_invariants(locs, &mut z) {
-            return None;
+    /// Finalize a successor zone whose guards hold, at its locations
+    /// `locs`: active-clock reduction, the resets, invariants, delay
+    /// closure, invariants again, extrapolation. False if it ends empty.
+    ///
+    /// Active-clock reduction frees every clock (except the global one) no
+    /// automaton can read again before resetting it. Dead clock values
+    /// cannot influence any future transition or query, so freeing them is
+    /// exact for location reachability and global-clock ranges — it merges
+    /// states that differ only in dead dimensions (fewer states, smaller
+    /// store) and drops their rows and columns from the zone. The dead
+    /// clocks go first: no reset, invariant or delay after the guards reads
+    /// them, and a zone keeps every untracked clock free, so freeing them
+    /// first gives the same zone while every later step runs over the live
+    /// clocks only. A reset of a dead clock is skipped for the same reason.
+    fn close<'e>(
+        &self,
+        locs: &[u32],
+        resets: impl Iterator<Item = &'e ClockId>,
+        z: &mut Dbm,
+        max: &[i64],
+        loosened: &mut Vec<(u32, u32, i32)>,
+    ) -> bool {
+        z.retain(|c| self.is_live(locs, c - 1));
+        for r in resets.filter(|r| self.is_live(locs, r.0)) {
+            z.reset(r.0 + 1);
+        }
+        if !self.apply_invariants(locs, z) {
+            return false;
         }
         z.up();
-        if !self.apply_invariants(locs, &mut z) {
-            return None;
+        if !self.apply_invariants(locs, z) {
+            return false;
         }
-        self.free_inactive_clocks(locs, &mut z);
-        z.extrapolate(&self.max_consts);
-        if z.is_empty() {
-            None
+        z.extrapolate_with(max, loosened);
+        !z.is_empty()
+    }
+
+    /// Emit the successor of `(locs, zone)` through `moves` — one τ edge,
+    /// or a send and its receive, each with its automaton — if its guards
+    /// hold and its zone is not empty. The zone is built in the reused
+    /// scratch zone and cloned only once it is known to be kept.
+    fn successor(
+        &self,
+        locs: &[u32],
+        zone: &Dbm,
+        moves: &[(usize, &Edge)],
+        parent: u32,
+        action: Action,
+        out: &mut Successors,
+    ) {
+        let z = &mut out.zone;
+        z.clone_from(zone);
+        if !moves.iter().all(|(_, e)| apply_guard(z, &e.guard)) {
+            return;
+        }
+        let at = out.locs.len();
+        out.locs.extend_from_slice(locs);
+        for &(ai, e) in moves {
+            out.locs[at + ai] = e.dst.0 as u32;
+        }
+        let resets = moves.iter().flat_map(|(_, e)| &e.resets);
+        let nl = &out.locs[at..];
+        if self.close(nl, resets, z, &out.max, &mut out.loosened) {
+            out.cands.push(Cand {
+                zone: z.clone(),
+                parent,
+                action,
+            });
         } else {
-            Some(z)
+            out.locs.truncate(at);
         }
     }
 
@@ -505,44 +711,41 @@ impl<'n> Engine<'n> {
     /// location, only transitions involving a committed automaton may fire —
     /// this removes the useless interleavings through zero-duration fire
     /// chains that otherwise blow up the state space.
-    fn expand_state(&self, locs: &[u32], zone: &Dbm, parent: u32, out: &mut Vec<Cand>) {
-        let any_committed = locs
-            .iter()
-            .enumerate()
-            .any(|(ai, &l)| self.committed[ai][l as usize]);
-        let committed_at = |ai: usize| self.committed[ai][locs[ai] as usize];
+    fn expand_state(&self, locs: &[u32], zone: &Dbm, parent: u32, out: &mut Successors) {
+        // One pass over the automata finds whether any sits in a committed
+        // location and which have a τ edge or a send to take.
+        let mut movers = std::mem::take(&mut out.movers);
+        movers.clear();
+        let mut any_committed = false;
+        for ai in 0..locs.len() {
+            let f = self.flags[self.flat(locs, ai)];
+            any_committed |= f & COMMITTED != 0;
+            if f & (HAS_TAU | HAS_SEND) != 0 {
+                movers.push(ai as u32);
+            }
+        }
+        let committed_at = |ai: usize| self.flags[self.flat(locs, ai)] & COMMITTED != 0;
         // Internal (τ) edges.
-        for (ai, a) in self.net.automata.iter().enumerate() {
+        for &ai in &movers {
+            let ai = ai as usize;
             if any_committed && !committed_at(ai) {
                 continue;
             }
-            for &ei in &self.tau[ai][locs[ai] as usize] {
-                let e = &a.edges[ei as usize];
-                let mut nz = zone.clone();
-                if !apply_guard(&mut nz, &e.guard) {
-                    continue;
-                }
-                for r in &e.resets {
-                    nz.reset(r.0 + 1);
-                }
-                let mut nl = locs.to_vec();
-                nl[ai] = e.dst.0 as u32;
-                if let Some(nz) = self.close(&nl, nz) {
-                    out.push(Cand {
-                        locs: nl.into_boxed_slice(),
-                        zone: Arc::new(nz),
-                        parent,
-                        action: Action::Tau { automaton: ai as u32 },
-                    });
-                }
+            for &ei in self.tau.row(self.flat(locs, ai)) {
+                let e = &self.net.automata[ai].edges[ei as usize];
+                let action = Action::Tau {
+                    automaton: ai as u32,
+                };
+                self.successor(locs, zone, &[(ai, e)], parent, action, out);
             }
         }
         // Channel synchronizations: each send pairs with every receiver that
         // currently has a matching receive edge.
-        for (ai, a) in self.net.automata.iter().enumerate() {
-            for &(ch, ei) in &self.send[ai][locs[ai] as usize] {
-                let e1 = &a.edges[ei as usize];
-                for &bi in &self.recv_aut[ch as usize] {
+        for &ai in &movers {
+            let ai = ai as usize;
+            for &(ch, ei) in self.send.row(self.flat(locs, ai)) {
+                let e1 = &self.net.automata[ai].edges[ei as usize];
+                for &bi in self.recv_aut.row(ch as usize) {
                     let bi = bi as usize;
                     if bi == ai {
                         continue;
@@ -550,38 +753,50 @@ impl<'n> Engine<'n> {
                     if any_committed && !committed_at(ai) && !committed_at(bi) {
                         continue;
                     }
-                    for &(ch2, e2i) in &self.recv[bi][locs[bi] as usize] {
+                    for &(ch2, e2i) in self.recv.row(self.flat(locs, bi)) {
                         if ch2 != ch {
                             continue;
                         }
                         let e2 = &self.net.automata[bi].edges[e2i as usize];
-                        let mut nz = zone.clone();
-                        if !apply_guard(&mut nz, &e1.guard) || !apply_guard(&mut nz, &e2.guard)
-                        {
-                            continue;
-                        }
-                        for r in e1.resets.iter().chain(&e2.resets) {
-                            nz.reset(r.0 + 1);
-                        }
-                        let mut nl = locs.to_vec();
-                        nl[ai] = e1.dst.0 as u32;
-                        nl[bi] = e2.dst.0 as u32;
-                        if let Some(nz) = self.close(&nl, nz) {
-                            out.push(Cand {
-                                        locs: nl.into_boxed_slice(),
-                                zone: Arc::new(nz),
-                                parent,
-                                action: Action::Sync {
-                                    sender: ai as u32,
-                                    receiver: bi as u32,
-                                    chan: ch,
-                                },
-                            });
-                        }
+                        let action = Action::Sync {
+                            sender: ai as u32,
+                            receiver: bi as u32,
+                            chan: ch,
+                        };
+                        self.successor(locs, zone, &[(ai, e1), (bi, e2)], parent, action, out);
                     }
                 }
             }
         }
+        out.movers = movers;
+    }
+
+    /// Model-check `query` over the network by breadth-first zone-graph
+    /// exploration (see the module docs), flushing into `tel` as
+    /// [`check_with_telemetry`] does.
+    pub fn check(&self, query: &McQuery, opts: McOptions, tel: Option<&Telemetry>) -> McResult {
+        let tel = tel.filter(|t| t.is_enabled());
+        let t0 = tel.and_then(Telemetry::now);
+        let r = self.check_inner(query, opts, tel);
+        if let Some(t) = tel {
+            t.add_many(&[
+                ("mc.runs", 1),
+                ("mc.states", r.stats.states as u64),
+                ("mc.levels", u64::from(r.stats.levels)),
+                ("mc.candidates", r.stats.candidates),
+                ("mc.subsumed", r.stats.subsumed),
+                ("mc.evicted", r.stats.evicted),
+                ("mc.killed", r.stats.killed),
+            ]);
+            if r.holds == Some(false) {
+                t.add("mc.violations", 1);
+            }
+            t.peak("mc.peak_store", r.stats.peak_store as u64);
+            if let Some(started) = t0 {
+                t.record_span("mc.check", 0, started, r.stats.states as u64);
+            }
+        }
+        r
     }
 }
 
@@ -603,7 +818,7 @@ fn trace_to(net: &TaNetwork, store: &Store, arena: &[ArenaEntry], idx: u32) -> V
     let mut cur = idx;
     loop {
         let e = &arena[cur as usize];
-        let locs = &store.vecs[e.locs as usize];
+        let locs = store.locs(e.locs);
         let when = if e.glo == i64::MIN {
             String::new()
         } else if e.ghi == e.glo {
@@ -647,307 +862,300 @@ pub fn check(net: &TaNetwork, query: &McQuery, opts: McOptions) -> McResult {
 /// Like [`check`], additionally flushing into a [`Telemetry`] handle: the
 /// deterministic `mc.*` counters and the store peak from [`McStats`], plus
 /// per-level `mc.expand`/`mc.insert` spans and one `mc.check` span for the
-/// whole run on timeline track 0.
+/// whole run on timeline track 0. To run several queries over one network,
+/// build its [`Checker`] once instead.
 pub fn check_with_telemetry(
     net: &TaNetwork,
     query: &McQuery,
     opts: McOptions,
     tel: Option<&Telemetry>,
 ) -> McResult {
-    let tel = tel.filter(|t| t.is_enabled());
-    let t0 = tel.and_then(Telemetry::now);
-    let r = check_inner(net, query, opts, tel);
-    if let Some(t) = tel {
-        t.add_many(&[
-            ("mc.runs", 1),
-            ("mc.states", r.stats.states as u64),
-            ("mc.levels", u64::from(r.stats.levels)),
-            ("mc.candidates", r.stats.candidates),
-            ("mc.subsumed", r.stats.subsumed),
-            ("mc.evicted", r.stats.evicted),
-            ("mc.killed", r.stats.killed),
-        ]);
-        if r.holds == Some(false) {
-            t.add("mc.violations", 1);
-        }
-        t.peak("mc.peak_store", r.stats.peak_store as u64);
-        if let Some(started) = t0 {
-            t.record_span("mc.check", 0, started, r.stats.states as u64);
-        }
-    }
-    r
+    Checker::new(net).check(query, opts, tel)
 }
 
-fn check_inner(
-    net: &TaNetwork,
-    query: &McQuery,
-    opts: McOptions,
-    tel: Option<&Telemetry>,
-) -> McResult {
-    let start = Instant::now();
+impl Checker<'_> {
+    fn check_inner(&self, query: &McQuery, opts: McOptions, tel: Option<&Telemetry>) -> McResult {
+        let net = self.net;
+        let start = Instant::now();
 
-    // Refuse models whose constants cannot be encoded, instead of silently
-    // wrapping `bound as i32` into a wrong verdict.
-    if let Some((ai, c)) = net.find_unencodable_bound(MAX_BOUND as i64) {
-        return McResult {
-            holds: None,
-            time_secs: start.elapsed().as_secs_f64(),
-            violation: None,
-            trace: None,
-            diagnostic: Some(format!(
-                "clock bound '{c}' in automaton '{}' exceeds the encodable range ±{MAX_BOUND}; \
-                 rescale the model (no verdict)",
-                net.automata[ai].name
-            )),
-            stats: McStats::default(),
+        // Refuse models whose constants cannot be encoded, instead of silently
+        // wrapping `bound as i32` into a wrong verdict.
+        if let Some((ai, c)) = net.find_unencodable_bound(MAX_BOUND as i64) {
+            return McResult {
+                holds: None,
+                time_secs: start.elapsed().as_secs_f64(),
+                violation: None,
+                trace: None,
+                diagnostic: Some(format!(
+                    "clock bound '{c}' in automaton '{}' exceeds the encodable range ±{MAX_BOUND}; \
+                     rescale the model (no verdict)",
+                    net.automata[ai].name
+                )),
+                stats: McStats::default(),
+            };
+        }
+        // Make sure the global clock stays concrete up to the latest expected
+        // output instant, so Query 1 can pin exact times.
+        let extra = match query {
+            McQuery::OutputsOnlyAt(specs) => specs
+                .iter()
+                .flat_map(|s| s.allowed.iter().copied())
+                .max()
+                .unwrap_or(0),
+            McQuery::NoErrorState(_) => 0,
         };
-    }
-    // Make sure the global clock stays concrete up to the latest expected
-    // output instant, so Query 1 can pin exact times.
-    let extra = match query {
-        McQuery::OutputsOnlyAt(specs) => specs
-            .iter()
-            .flat_map(|s| s.allowed.iter().copied())
-            .max()
-            .unwrap_or(0),
-        McQuery::NoErrorState(_) => 0,
-    };
-    if extra.abs() > MAX_BOUND as i64 {
-        return McResult {
-            holds: None,
-            time_secs: start.elapsed().as_secs_f64(),
-            violation: None,
-            trace: None,
-            diagnostic: Some(format!(
-                "expected output instant {extra} exceeds the encodable range ±{MAX_BOUND}; \
-                 rescale the model (no verdict)"
-            )),
-            stats: McStats::default(),
+        if extra.abs() > MAX_BOUND as i64 {
+            return McResult {
+                holds: None,
+                time_secs: start.elapsed().as_secs_f64(),
+                violation: None,
+                trace: None,
+                diagnostic: Some(format!(
+                    "expected output instant {extra} exceeds the encodable range ±{MAX_BOUND}; \
+                     rescale the model (no verdict)"
+                )),
+                stats: McStats::default(),
+            };
+        }
+
+        let mut max = self.max_consts.clone();
+        if let Some(g) = self.global {
+            max[g] = max[g].max(extra);
+        }
+        let mut succ = Successors {
+            cands: Vec::new(),
+            locs: Vec::new(),
+            zone: Dbm::zero(0),
+            movers: Vec::new(),
+            max,
+            loosened: Vec::new(),
         };
-    }
+        let g_idx = net.global_clock.map(|g| g.0 + 1);
 
-    let engine = Engine::new(net, extra);
-    let g_idx = net.global_clock.map(|g| g.0 + 1);
-
-    let violation = |locs: &[u32], z: &Dbm| -> Option<String> {
-        match query {
-            McQuery::NoErrorState(errs) => {
-                for &(ai, li) in errs {
-                    if locs[ai] as usize == li.0 {
-                        return Some(format!(
-                            "error state {}.{} is reachable",
-                            net.automata[ai].name, net.automata[ai].locations[li.0].name
-                        ));
-                    }
-                }
-                None
-            }
-            McQuery::OutputsOnlyAt(specs) => {
-                let g = g_idx?;
-                for spec in specs {
-                    for &(ai, li) in &spec.ends {
-                        if locs[ai] as usize != li.0 {
-                            continue;
-                        }
-                        let (lo, hi) = z.clock_range(g);
-                        let pinned = hi == Some(lo);
-                        if !pinned || !spec.allowed.contains(&lo) {
+        let violation = |locs: &[u32], z: &Dbm| -> Option<String> {
+            match query {
+                McQuery::NoErrorState(errs) => {
+                    for &(ai, li) in errs {
+                        if locs[ai] as usize == li.0 {
                             return Some(format!(
-                                "output '{}' fires at global time {}{} not in {:?}",
-                                spec.wire,
-                                lo,
-                                if pinned { "" } else { "+" },
-                                spec.allowed
+                                "error state {}.{} is reachable",
+                                net.automata[ai].name, net.automata[ai].locations[li.0].name
                             ));
                         }
                     }
+                    None
                 }
-                None
-            }
-        }
-    };
-
-    // Initial state. An empty initial zone means the initial invariants are
-    // unsatisfiable: every safety property holds vacuously — say so instead
-    // of reporting a clean pass.
-    let init_locs: Vec<u32> = net.automata.iter().map(|a| a.init.0 as u32).collect();
-    // The initial zone tracks only the clocks live at the initial locations,
-    // so no stored zone ever holds a row for a dead clock.
-    let live = engine.live_clocks(&init_locs);
-    let z0 = Dbm::zero_over((1..=net.clock_count()).filter(|&c| has_clock(&live, c - 1)));
-    let Some(z0) = engine.close(&init_locs, z0) else {
-        return McResult {
-            holds: Some(true),
-            time_secs: start.elapsed().as_secs_f64(),
-            violation: None,
-            trace: None,
-            diagnostic: Some(
-                "vacuous: the initial zone is empty (conflicting invariants at the initial \
-                 locations); every safety property holds trivially"
-                    .to_string(),
-            ),
-            stats: McStats::default(),
-        };
-    };
-    let z0 = Arc::new(z0);
-
-    let mut store = Store::default();
-    let mut arena: Vec<ArenaEntry> = Vec::new();
-    let mut stats = McStats {
-        peak_store: 1,
-        max_zone_clocks: z0.clocks(),
-        ..McStats::default()
-    };
-
-    let init = store.intern(&init_locs);
-    store.buckets[init as usize].push(BucketZone {
-        zone: z0.clone(),
-        level: 0,
-        state: 0,
-    });
-    store.live = 1;
-    let (glo, ghi) = grange(g_idx, &z0);
-    arena.push(ArenaEntry {
-        locs: init,
-        parent: u32::MAX,
-        action: Action::Init,
-        glo,
-        ghi,
-    });
-    if let Some(v) = violation(&init_locs, &z0) {
-        stats.states = 1;
-        return McResult {
-            holds: Some(false),
-            time_secs: start.elapsed().as_secs_f64(),
-            violation: Some(v),
-            trace: Some(trace_to(net, &store, &arena, 0)),
-            diagnostic: None,
-            stats,
-        };
-    }
-
-    let mut frontier = vec![Frontier {
-        state: 0,
-        locs: init_locs.into_boxed_slice(),
-        zone: z0,
-    }];
-    let mut level: u32 = 0;
-    // Both budgets answer alike; the answer holds nothing timed.
-    let exhausted = |budget: String, level: u32, live: usize, stats: McStats| McResult {
-        holds: None,
-        time_secs: start.elapsed().as_secs_f64(),
-        violation: None,
-        trace: None,
-        diagnostic: Some(format!(
-            "{budget} exhausted at level {level}: {live} zones live"
-        )),
-        stats,
-    };
-
-    while !frontier.is_empty() {
-        level += 1;
-        stats.states = arena.len();
-        stats.levels = level;
-        if arena.len() >= opts.max_states {
-            let budget = format!("state budget ({})", opts.max_states);
-            return exhausted(budget, level, store.live, stats);
-        }
-
-        // Expand the frontier in order: the candidate order is a pure
-        // function of the frontier.
-        let t_expand = tel.and_then(|t| t.now());
-        let mut cands: Vec<Cand> = Vec::new();
-        for fe in &frontier {
-            if start.elapsed().as_secs_f64() > opts.max_seconds {
-                let budget = format!("time budget ({}s)", opts.max_seconds);
-                return exhausted(budget, level, store.live, stats);
-            }
-            engine.expand_state(&fe.locs, &fe.zone, fe.state, &mut cands);
-        }
-        if let (Some(t), Some(t0)) = (tel, t_expand) {
-            t.record_span("mc.expand", 0, t0, frontier.len() as u64);
-        }
-        stats.candidates += cands.len() as u64;
-
-        // Insert in candidate order. Accepts get arena ids as they are made;
-        // `next[id - first]` is the entry of arena id `id` until a later
-        // candidate of this level evicts (kills) it.
-        let t_insert = tel.and_then(|t| t.now());
-        let first = arena.len() as u32;
-        let mut next: Vec<Option<Frontier>> = Vec::new();
-        let mut found: Option<(u32, String)> = None;
-        for cand in cands {
-            let locs = store.intern(&cand.locs);
-            let bucket = &mut store.buckets[locs as usize];
-            if bucket.iter().any(|b| b.zone.includes(&cand.zone)) {
-                stats.subsumed += 1;
-                continue;
-            }
-            let before = bucket.len();
-            bucket.retain(|b| {
-                let evicted = cand.zone.includes(&b.zone);
-                if evicted && b.level == level {
-                    // Accepted earlier this level but not yet expanded:
-                    // kill it so it never reaches the next frontier.
-                    next[(b.state - first) as usize] = None;
-                    stats.killed += 1;
+                McQuery::OutputsOnlyAt(specs) => {
+                    let g = g_idx?;
+                    for spec in specs {
+                        for &(ai, li) in &spec.ends {
+                            if locs[ai] as usize != li.0 {
+                                continue;
+                            }
+                            let (lo, hi) = z.clock_range(g);
+                            let pinned = hi == Some(lo);
+                            if !pinned || !spec.allowed.contains(&lo) {
+                                return Some(format!(
+                                    "output '{}' fires at global time {}{} not in {:?}",
+                                    spec.wire,
+                                    lo,
+                                    if pinned { "" } else { "+" },
+                                    spec.allowed
+                                ));
+                            }
+                        }
+                    }
+                    None
                 }
-                !evicted
-            });
-            let evicted = before - bucket.len();
-            let id = arena.len() as u32;
-            bucket.push(BucketZone {
-                zone: cand.zone.clone(),
-                level,
-                state: id,
-            });
-            stats.evicted += evicted as u64;
-            store.live = store.live - evicted + 1;
-            let (glo, ghi) = grange(g_idx, &cand.zone);
-            stats.max_zone_clocks = stats.max_zone_clocks.max(cand.zone.clocks());
-            arena.push(ArenaEntry {
-                locs,
-                parent: cand.parent,
-                action: cand.action,
-                glo,
-                ghi,
-            });
-            if found.is_none() {
-                found = violation(&cand.locs, &cand.zone).map(|v| (id, v));
             }
-            next.push(Some(Frontier {
-                state: id,
-                locs: cand.locs,
-                zone: cand.zone,
-            }));
-        }
-        stats.peak_store = stats.peak_store.max(store.live);
-        if let (Some(t), Some(t0)) = (tel, t_insert) {
-            t.record_span("mc.insert", 0, t0, arena.len() as u64);
-        }
+        };
 
-        if let Some((id, v)) = found {
-            stats.states = arena.len();
+        // Initial state. An empty initial zone means the initial invariants are
+        // unsatisfiable: every safety property holds vacuously — say so instead
+        // of reporting a clean pass.
+        let init_locs: Vec<u32> = net.automata.iter().map(|a| a.init.0 as u32).collect();
+        // The initial zone tracks only the clocks live at the initial locations,
+        // so no stored zone ever holds a row for a dead clock.
+        let live = (1..=net.clock_count()).filter(|&c| self.is_live(&init_locs, c - 1));
+        let mut z0 = Dbm::zero_over(live);
+        let no_resets = std::iter::empty();
+        if !self.close(&init_locs, no_resets, &mut z0, &succ.max, &mut succ.loosened) {
+            return McResult {
+                holds: Some(true),
+                time_secs: start.elapsed().as_secs_f64(),
+                violation: None,
+                trace: None,
+                diagnostic: Some(
+                    "vacuous: the initial zone is empty (conflicting invariants at the initial \
+                     locations); every safety property holds trivially"
+                        .to_string(),
+                ),
+                stats: McStats::default(),
+            };
+        }
+        let z0 = Arc::new(z0);
+
+        let mut store = Store::new(init_locs.len());
+        let mut arena: Vec<ArenaEntry> = Vec::new();
+        let mut stats = McStats {
+            peak_store: 1,
+            max_zone_clocks: z0.clocks(),
+            ..McStats::default()
+        };
+
+        let init = store.intern(&init_locs);
+        store.buckets[init as usize].push(BucketZone {
+            zone: z0.clone(),
+            level: 0,
+            state: 0,
+        });
+        store.live = 1;
+        let (glo, ghi) = grange(g_idx, &z0);
+        arena.push(ArenaEntry {
+            locs: init,
+            parent: u32::MAX,
+            action: Action::Init,
+            glo,
+            ghi,
+        });
+        if let Some(v) = violation(&init_locs, &z0) {
+            stats.states = 1;
             return McResult {
                 holds: Some(false),
                 time_secs: start.elapsed().as_secs_f64(),
                 violation: Some(v),
-                trace: Some(trace_to(net, &store, &arena, id)),
+                trace: Some(trace_to(net, &store, &arena, 0)),
                 diagnostic: None,
                 stats,
             };
         }
-        frontier = next.into_iter().flatten().collect();
-    }
 
-    stats.states = arena.len();
-    McResult {
-        holds: Some(true),
-        time_secs: start.elapsed().as_secs_f64(),
-        violation: None,
-        trace: None,
-        diagnostic: None,
-        stats,
+        let mut frontier = vec![Frontier {
+            state: 0,
+            locs: init,
+            zone: z0,
+        }];
+        let mut next: Vec<Option<Frontier>> = Vec::new();
+        let mut level: u32 = 0;
+        // Both budgets answer alike; the answer holds nothing timed.
+        let exhausted = |budget: String, level: u32, live: usize, stats: McStats| McResult {
+            holds: None,
+            time_secs: start.elapsed().as_secs_f64(),
+            violation: None,
+            trace: None,
+            diagnostic: Some(format!(
+                "{budget} exhausted at level {level}: {live} zones live"
+            )),
+            stats,
+        };
+
+        while !frontier.is_empty() {
+            level += 1;
+            stats.states = arena.len();
+            stats.levels = level;
+            if arena.len() >= opts.max_states {
+                let budget = format!("state budget ({})", opts.max_states);
+                return exhausted(budget, level, store.live, stats);
+            }
+
+            // Expand the frontier in order: the candidate order is a pure
+            // function of the frontier.
+            let t_expand = tel.and_then(|t| t.now());
+            for fe in &frontier {
+                if start.elapsed().as_secs_f64() > opts.max_seconds {
+                    let budget = format!("time budget ({}s)", opts.max_seconds);
+                    return exhausted(budget, level, store.live, stats);
+                }
+                self.expand_state(store.locs(fe.locs), &fe.zone, fe.state, &mut succ);
+            }
+            if let (Some(t), Some(t0)) = (tel, t_expand) {
+                t.record_span("mc.expand", 0, t0, frontier.len() as u64);
+            }
+            stats.candidates += succ.cands.len() as u64;
+
+            // Insert in candidate order. Accepts get arena ids as they are made;
+            // `next[id - first]` is the entry of arena id `id` until a later
+            // candidate of this level evicts (kills) it.
+            let t_insert = tel.and_then(|t| t.now());
+            let first = arena.len() as u32;
+            let mut found: Option<(u32, String)> = None;
+            let width = store.intern.width;
+            for (cand, cand_locs) in succ.cands.drain(..).zip(succ.locs.chunks_exact(width)) {
+                let locs = store.intern(cand_locs);
+                let bucket = &mut store.buckets[locs as usize];
+                if bucket.iter().any(|b| b.zone.includes(&cand.zone)) {
+                    stats.subsumed += 1;
+                    continue;
+                }
+                let before = bucket.len();
+                bucket.retain(|b| {
+                    let evicted = cand.zone.includes(&b.zone);
+                    if evicted && b.level == level {
+                        // Accepted earlier this level but not yet expanded:
+                        // kill it so it never reaches the next frontier.
+                        next[(b.state - first) as usize] = None;
+                        stats.killed += 1;
+                    }
+                    !evicted
+                });
+                let evicted = before - bucket.len();
+                let id = arena.len() as u32;
+                let zone = Arc::new(cand.zone);
+                bucket.push(BucketZone {
+                    zone: zone.clone(),
+                    level,
+                    state: id,
+                });
+                stats.evicted += evicted as u64;
+                store.live = store.live - evicted + 1;
+                let (glo, ghi) = grange(g_idx, &zone);
+                stats.max_zone_clocks = stats.max_zone_clocks.max(zone.clocks());
+                arena.push(ArenaEntry {
+                    locs,
+                    parent: cand.parent,
+                    action: cand.action,
+                    glo,
+                    ghi,
+                });
+                if found.is_none() {
+                    found = violation(cand_locs, &zone).map(|v| (id, v));
+                }
+                next.push(Some(Frontier {
+                    state: id,
+                    locs,
+                    zone,
+                }));
+            }
+            succ.locs.clear();
+            stats.peak_store = stats.peak_store.max(store.live);
+            if let (Some(t), Some(t0)) = (tel, t_insert) {
+                t.record_span("mc.insert", 0, t0, arena.len() as u64);
+            }
+
+            if let Some((id, v)) = found {
+                stats.states = arena.len();
+                return McResult {
+                    holds: Some(false),
+                    time_secs: start.elapsed().as_secs_f64(),
+                    violation: Some(v),
+                    trace: Some(trace_to(net, &store, &arena, id)),
+                    diagnostic: None,
+                    stats,
+                };
+            }
+            frontier.clear();
+            frontier.extend(next.drain(..).flatten());
+        }
+
+        stats.states = arena.len();
+        McResult {
+            holds: Some(true),
+            time_secs: start.elapsed().as_secs_f64(),
+            violation: None,
+            trace: None,
+            diagnostic: None,
+            stats,
+        }
     }
 }
 
