@@ -454,8 +454,9 @@ fn measure_ir_decode(name: &'static str) -> DecodeRow {
     }
 }
 
-/// Sample count, median and fastest sample of one timed request, in µs,
-/// plus the request's (deterministic) heap allocations.
+/// Sample count, median and fastest sample of one timed call (a served
+/// request, a model check), in µs, plus the call's (deterministic) heap
+/// allocations.
 struct PerRequest {
     n: usize,
     median_us: f64,
@@ -744,10 +745,12 @@ fn main() {
     // Explored-state, peak-store, and subsumption counts come from the
     // telemetry flush of one instrumented Query-2 pass per design; the
     // largest zone's clock count (not a telemetry counter) from its result.
+    // Query 2 also reports its sample count, fastest sample and the heap
+    // allocations of one `check` call (deterministic: CI gates them).
     struct McRow {
         name: &'static str,
         q1_ns: f64,
-        q2_ns: f64,
+        q2: PerRequest,
         report: TelemetryReport,
         max_zone_clocks: usize,
     }
@@ -772,8 +775,12 @@ fn main() {
         assert_eq!(q2.holds, Some(true), "{name} q2: {:?}", q2.violation);
         let report = tel.report();
         assert_eq!(report.counter("mc.states"), q2.states() as u64);
-        let q2_ns = time_median(
-            || drop(check(&tr.net, &McQuery::query2(&tr), McOptions::default())),
+        let q2_query = McQuery::query2(&tr);
+        let a0 = allocs();
+        drop(check(&tr.net, &q2_query, McOptions::default()));
+        let q2_allocs = allocs() - a0;
+        let q2_samples = time_samples(
+            || drop(check(&tr.net, &q2_query, McOptions::default())),
             400.0,
             3,
         );
@@ -785,7 +792,7 @@ fn main() {
         McRow {
             name,
             q1_ns,
-            q2_ns,
+            q2: PerRequest::of(q2_samples, q2_allocs),
             report,
             max_zone_clocks: q2.stats.max_zone_clocks,
         }
@@ -907,12 +914,16 @@ fn main() {
     for (i, r) in mc_rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"query1_median_ns\": {:.0}, \
-             \"query2_median_ns\": {:.0}, \"states\": {}, \"peak_store\": {}, \
+             \"query2_median_ns\": {:.0}, \"query2_n\": {}, \"query2_min_ns\": {:.0}, \
+             \"query2_allocs_per_check\": {}, \"states\": {}, \"peak_store\": {}, \
              \"candidates\": {}, \"subsumed\": {}, \"evicted\": {}, \
              \"max_zone_clocks\": {}}}{}\n",
             r.name,
             r.q1_ns,
-            r.q2_ns,
+            r.q2.median_us * 1e3,
+            r.q2.n,
+            r.q2.min_us * 1e3,
+            r.q2.allocs,
             r.report.counter("mc.states"),
             r.report.gauge("mc.peak_store"),
             r.report.counter("mc.candidates"),

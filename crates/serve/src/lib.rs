@@ -922,6 +922,8 @@ impl Server {
             ..McOptions::default()
         };
         let tr = translate_circuit(&outcome.circuit)?;
+        // One set of checker tables serves every query of the request.
+        let checker = Checker::new(&tr.net);
         let queries: Vec<IrQuery> = if ir.queries.is_empty() {
             vec![IrQuery::NoErrorState]
         } else {
@@ -934,12 +936,7 @@ impl Server {
                     IrQuery::NoErrorState => "no_error_state",
                     IrQuery::OutputsOnlyAt { .. } => "outputs_only_at",
                 };
-                let r = rlse_ta::mc::check_with_telemetry(
-                    &tr.net,
-                    &McQuery::from_ir(&tr, q),
-                    mc_opts,
-                    Some(&ctx.tel),
-                );
+                let r = checker.check(&McQuery::from_ir(&tr, q), mc_opts, Some(&ctx.tel));
                 JsonValue::Obj(vec![
                     ("query".into(), s(label)),
                     (

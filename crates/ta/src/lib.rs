@@ -46,7 +46,7 @@ pub mod uppaal;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::automaton::{NetworkStats, TaNetwork};
-    pub use crate::mc::{check, McOptions, McQuery, McResult, OutputSpec};
+    pub use crate::mc::{check, Checker, McOptions, McQuery, McResult, OutputSpec};
     pub use crate::translate::{
         translate_circuit, translate_circuit_with, translate_machine, TranslateOptions,
         Translation,
