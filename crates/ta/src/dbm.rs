@@ -63,7 +63,6 @@ pub const fn lt(m: i32) -> i32 {
 /// The `≤ 0` bound (used for emptiness and the zero zone).
 pub const LE_ZERO: i32 = le(0);
 
-
 #[inline]
 fn add_bounds(a: i32, b: i32) -> i32 {
     if a == INF || b == INF {
@@ -527,8 +526,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The textbook kernels the row-sliced ones replaced, over the same
-    /// tracked-clock layout: a fresh matrix per inserted clock, an
+    /// Textbook scalar kernels over the same tracked-clock layout, the
+    /// reference for the row-sliced ones: a fresh matrix per inserted clock, an
     /// entry-by-entry closure per constraint, and a full scalar
     /// Floyd–Warshall after any extrapolation that changes an entry.
     #[derive(Clone, Debug)]
