@@ -8,24 +8,24 @@
 //! The cache is built for concurrent callers (the `rlse-serve` worker pool
 //! hits one shared instance from every request worker):
 //!
-//! * **Sharding** — entries are split across
-//!   [`SHARDS`] independently-locked shards by content hash, so lookups for
-//!   different circuits never contend on one lock.
+//! * **One lock** — entries, their LRU index, the spelling index and the
+//!   in-flight compilations live in one `State` behind one mutex. Only map
+//!   and B-tree operations run under it; compiles run outside it.
 //! * **Single-flight compilation** — when N requests for the same hash
 //!   arrive while no entry exists yet, exactly one caller compiles; the
 //!   rest block on the in-flight marker and are served the finished entry
 //!   (counted in [`singleflight_waits`](CompiledCache::singleflight_waits)
-//!   and the `ir_cache.singleflight_waits` telemetry counter). If the
-//!   compiling caller panics, waiters wake and retry — one of them becomes
-//!   the new leader — so a poisoned flight can never strand the queue.
-//! * **Global LRU** — the entry cap is enforced across all shards. Every
-//!   lookup stamps its entry from one atomic counter, and each shard keeps
-//!   its entries ordered by stamp (stamp → hash), so the oldest entry of a
-//!   shard is the head of that index. The eviction path briefly locks every
-//!   shard (in index order) and removes the smallest of the 16 heads:
-//!   stamps are unique, so that is exactly the globally least-recently-used
-//!   entry, found in O(log n) whatever the cache's size. A cache fed a
-//!   stream of distinct circuits evicts on every miss.
+//!   and the `ir_cache.singleflight_waits` telemetry counter). There is
+//!   one flight per hash: a different canon under the same 64-bit hash
+//!   waits its turn, uncounted. If the compiling caller panics, waiters
+//!   wake and retry — one of them becomes the new leader — so a poisoned
+//!   flight can never strand the queue.
+//! * **LRU eviction** — every lookup stamps its entry from one counter,
+//!   and an ordered index (stamp → hash) keeps the entries oldest first.
+//!   Stamps are unique, so the index head is exactly the least-recently-used
+//!   entry, and an insert past the cap pops it in O(log n) whatever the
+//!   cache's size. A cache fed a stream of distinct circuits evicts on
+//!   every miss.
 //! * **Spelling index** — a repeated request usually carries its IR as the
 //!   very same JSON text. [`get_spelled`](CompiledCache::get_spelled) finds
 //!   an entry by those raw bytes, skipping IR decode, circuit rebuild and
@@ -35,21 +35,16 @@
 //!   spelling is admitted only on a canonical hit
 //!   ([`get_or_compile_spelled`](CompiledCache::get_or_compile_spelled)),
 //!   at most one per entry and only when no longer than twice the entry's
-//!   canonical bytes, and it is evicted with its entry. Lock order: an
-//!   entry shard may be held while taking a spelling shard, never the
-//!   reverse.
+//!   canonical bytes, and it is evicted with its entry under the same
+//!   lock, so a spelling is resident exactly while its entry is.
 
 use super::{Ir, IrError};
 use crate::circuit::Circuit;
 use crate::compiled::CompiledCircuit;
 use crate::telemetry::Telemetry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Number of independently-locked shards (a power of two; the shard index
-/// is the hash's low bits).
-const SHARDS: usize = 16;
 
 /// The result of a cache lookup: the rebuilt circuit plus the (possibly
 /// memoized) compiled form.
@@ -90,7 +85,7 @@ const MAX_SPELLING_RATIO: usize = 2;
 
 /// The spelling-index key: a fast 64-bit hash of raw bytes, four 8-byte
 /// lanes at a time. Keys are compared byte for byte, so it only spreads
-/// entries over buckets and shards.
+/// entries over buckets.
 fn spelling_key(raw: &[u8]) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
@@ -153,60 +148,101 @@ struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        let mut shard = self.cache.shard(self.hash);
-        if shard
-            .flights
-            .get(&self.hash)
-            .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-        {
-            shard.flights.remove(&self.hash);
+        // Only the leader removes a flight, and none is installed while one
+        // is present, so the flight under `hash` is this one. A poisoned
+        // lock fails every later lookup anyway, and a drop must not panic.
+        if let Ok(mut state) = self.cache.state.lock() {
+            state.flights.remove(&self.hash);
         }
-        drop(shard);
         self.flight.finish();
     }
 }
 
+/// Everything the cache holds, behind its one lock.
 #[derive(Default)]
-struct Shard {
+struct State {
     entries: HashMap<u64, Vec<Entry>>,
-    /// Every entry's `last_used` stamp → its hash, oldest first: the
-    /// shard's LRU order. Stamps are unique, so its length is the shard's
-    /// entry count.
+    /// Every entry's `last_used` stamp → its hash, oldest first: the LRU
+    /// order. Stamps are unique, so its length is the entry count.
     lru: BTreeMap<u64, u64>,
+    /// Spellings by [`spelling_key`]; a bucket holds at most one spelling
+    /// per entry, so its length is bounded by the entry count.
+    spellings: HashMap<u64, Vec<Spelling>>,
     flights: HashMap<u64, Arc<Flight>>,
+    /// Monotone lookup counter stamping `Entry::last_used`.
+    tick: u64,
 }
 
-impl Shard {
-    /// The entry under `hash` that `is_it` picks, restamped as used at
-    /// `stamp`.
-    fn touch(
-        &mut self,
-        hash: u64,
-        stamp: u64,
-        is_it: impl Fn(&Entry) -> bool,
-    ) -> Option<&mut Entry> {
+impl State {
+    fn stamp(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// The entry under `hash` that `is_it` picks, restamped as just used.
+    fn touch(&mut self, hash: u64, is_it: impl Fn(&Entry) -> bool) -> Option<&mut Entry> {
+        let stamp = self.stamp();
         let e = self.entries.get_mut(&hash)?.iter_mut().find(|e| is_it(e))?;
         self.lru.remove(&e.last_used);
         self.lru.insert(stamp, hash);
         e.last_used = stamp;
         Some(e)
     }
+
+    /// The compiled tables of the entry holding `canon`, touched, with
+    /// `raw` admitted as its spelling unless it already has one or `raw`
+    /// is longer than [`MAX_SPELLING_RATIO`] × its canonical bytes.
+    fn hit(&mut self, hash: u64, canon: &[u8], raw: Option<&[u8]>) -> Option<Arc<CompiledCircuit>> {
+        let e = self.touch(hash, |e| e.canon == canon)?;
+        let compiled = Arc::clone(&e.compiled);
+        let admit =
+            raw.filter(|raw| e.spelling.is_none() && raw.len() <= MAX_SPELLING_RATIO * canon.len());
+        if let Some(raw) = admit {
+            let key = spelling_key(raw);
+            e.spelling = Some(key);
+            self.spellings.entry(key).or_default().push(Spelling {
+                raw: raw.into(),
+                hash,
+                compiled: Arc::clone(&compiled),
+            });
+        }
+        Some(compiled)
+    }
+
+    /// Drop the least-recently-used entry and its spelling.
+    fn evict_oldest(&mut self) {
+        let (stamp, h) = self.lru.pop_first().expect("an over-cap cache is nonempty");
+        let bucket = self.entries.get_mut(&h).expect("indexed entry exists");
+        let i = bucket
+            .iter()
+            .position(|e| e.last_used == stamp)
+            .expect("indexed entry exists");
+        let victim = bucket.remove(i);
+        if bucket.is_empty() {
+            self.entries.remove(&h);
+        }
+        if let Some(key) = victim.spelling {
+            let spellings = self
+                .spellings
+                .get_mut(&key)
+                .expect("admitted spelling is indexed");
+            spellings.retain(|s| !Arc::ptr_eq(&s.compiled, &victim.compiled));
+            if spellings.is_empty() {
+                self.spellings.remove(&key);
+            }
+        }
+    }
 }
 
-/// Spellings by [`spelling_key`]; a bucket holds at most one spelling per
-/// entry, so its length is bounded by the entry count.
-type SpellingShard = HashMap<u64, Vec<Spelling>>;
-
-/// A thread-safe memo of compiled circuits keyed on IR content. Sharded
-/// and single-flight — see the module docs for the concurrency design.
+/// A thread-safe memo of compiled circuits keyed on IR content. One lock,
+/// single-flight — see the module docs for the concurrency design.
 ///
 /// By default the cache is **unbounded**: every distinct circuit compiled
-/// through it stays resident until
-/// [`clear`](CompiledCache::clear) or drop. That is the right trade for
-/// batch runs over a fixed request corpus; a long-lived embedder fed many
-/// distinct IRs should cap it with
+/// through it stays resident until the cache is dropped. That is the right
+/// trade for batch runs over a fixed request corpus; a long-lived embedder
+/// fed many distinct IRs should cap it with
 /// [`with_max_entries`](CompiledCache::with_max_entries), which evicts the
-/// globally least-recently-used entry on overflow.
+/// least-recently-used entry on overflow.
 ///
 /// ```
 /// use rlse_core::circuit::Circuit;
@@ -228,16 +264,10 @@ type SpellingShard = HashMap<u64, Vec<Spelling>>;
 /// assert!(std::sync::Arc::ptr_eq(&first.compiled, &second.compiled));
 /// ```
 pub struct CompiledCache {
-    shards: Vec<Mutex<Shard>>,
-    spellings: Vec<Mutex<SpellingShard>>,
-    /// Entry count across all shards (kept in step under the shard locks;
-    /// read lock-free for the cheap over-cap check).
-    count: AtomicUsize,
+    state: Mutex<State>,
     hits: AtomicU64,
     misses: AtomicU64,
     singleflight_waits: AtomicU64,
-    /// Monotone lookup counter stamping `Entry::last_used`.
-    tick: AtomicU64,
     /// Entry cap; `None` means unbounded (the default).
     max_entries: Option<usize>,
     telemetry: Telemetry,
@@ -268,13 +298,10 @@ impl CompiledCache {
     /// An empty, unbounded cache with no telemetry attached.
     pub fn new() -> Self {
         CompiledCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            spellings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            count: AtomicUsize::new(0),
+            state: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             max_entries: None,
             telemetry: Telemetry::disabled(),
             #[cfg(test)]
@@ -283,9 +310,9 @@ impl CompiledCache {
     }
 
     /// Bound the cache to at most `max` compiled circuits (clamped to at
-    /// least 1). Inserting past the bound evicts the globally
-    /// least-recently-used entry; evictions count `ir_cache.evictions` on
-    /// the attached telemetry.
+    /// least 1). Inserting past the bound evicts the least-recently-used
+    /// entry; evictions count `ir_cache.evictions` on the attached
+    /// telemetry.
     #[must_use]
     pub fn with_max_entries(mut self, max: usize) -> Self {
         self.max_entries = Some(max.max(1));
@@ -300,16 +327,13 @@ impl CompiledCache {
         self
     }
 
-    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        self.shards[hash as usize & (SHARDS - 1)]
-            .lock()
-            .expect("compiled cache poisoned")
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("compiled cache poisoned")
     }
 
-    fn spelling_shard(&self, key: u64) -> MutexGuard<'_, SpellingShard> {
-        self.spellings[key as usize & (SHARDS - 1)]
-            .lock()
-            .expect("spelling index poisoned")
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.add("ir_cache.hits", 1);
     }
 
     /// The canonical hash and compiled tables of the entry whose admitted
@@ -319,35 +343,15 @@ impl CompiledCache {
     /// encoding altogether.
     pub fn get_spelled(&self, raw: &[u8]) -> Option<(u64, Arc<CompiledCircuit>)> {
         let key = spelling_key(raw);
-        let (hash, compiled) = {
-            let shard = self.spelling_shard(key);
-            let found = shard.get(&key)?.iter().find(|s| *s.raw == *raw)?;
-            (found.hash, Arc::clone(&found.compiled))
-        };
-        // The spelling lock is released first (lock order), so the entry
-        // may have been evicted since: that is a miss.
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.shard(hash)
-            .touch(hash, stamp, |e| Arc::ptr_eq(&e.compiled, &compiled))?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.add("ir_cache.hits", 1);
+        let mut state = self.lock();
+        let found = state.spellings.get(&key)?.iter().find(|s| *s.raw == *raw)?;
+        let (hash, compiled) = (found.hash, Arc::clone(&found.compiled));
+        state
+            .touch(hash, |e| Arc::ptr_eq(&e.compiled, &compiled))
+            .expect("a resident spelling's entry is resident");
+        drop(state);
+        self.count_hit();
         Some((hash, compiled))
-    }
-
-    /// Admit `raw` as `entry`'s spelling, unless it already has one or
-    /// `raw` is longer than [`MAX_SPELLING_RATIO`] × its canonical bytes.
-    /// Called with the entry's shard locked.
-    fn admit_spelling(&self, hash: u64, entry: &mut Entry, raw: &[u8]) {
-        if entry.spelling.is_some() || raw.len() > MAX_SPELLING_RATIO * entry.canon.len() {
-            return;
-        }
-        let key = spelling_key(raw);
-        self.spelling_shard(key).entry(key).or_default().push(Spelling {
-            raw: raw.into(),
-            hash,
-            compiled: Arc::clone(&entry.compiled),
-        });
-        entry.spelling = Some(key);
     }
 
     /// Rebuild the IR's circuit and return its compiled form, compiling at
@@ -385,165 +389,77 @@ impl CompiledCache {
         let canon = ir.canonical_bytes();
         let hash = super::fnv1a(&canon);
 
-        loop {
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-            let flight = {
-                let mut shard = self.shard(hash);
-                if let Some(found) = shard.touch(hash, stamp, |e| e.canon == canon).map(|e| {
-                    if let Some(raw) = raw {
-                        self.admit_spelling(hash, e, raw);
-                    }
-                    Arc::clone(&e.compiled)
-                }) {
-                    drop(shard);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.add("ir_cache.hits", 1);
-                    return Ok(CacheOutcome {
-                        hash,
-                        hit: true,
-                        circuit,
-                        compiled: found,
-                    });
+        // Hit, or wait out the hash's flight, or become its leader. The
+        // guard wakes waiters even if the compile panics.
+        let guard = loop {
+            let mut state = self.lock();
+            if let Some(compiled) = state.hit(hash, &canon, raw) {
+                drop(state);
+                self.count_hit();
+                return Ok(CacheOutcome {
+                    hash,
+                    hit: true,
+                    circuit,
+                    compiled,
+                });
+            }
+            if let Some(flight) = state.flights.get(&hash).map(Arc::clone) {
+                drop(state);
+                if flight.canon == canon {
+                    self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.add("ir_cache.singleflight_waits", 1);
                 }
-                match shard.flights.get(&hash) {
-                    // Same content is already compiling: join the flight.
-                    Some(f) if f.canon == canon => Some(Arc::clone(f)),
-                    // A different canon under the same 64-bit hash is
-                    // compiling (vanishingly rare): compile independently,
-                    // without registering a flight of our own.
-                    Some(_) => None,
-                    None => {
-                        let f = Arc::new(Flight::new(canon.clone()));
-                        shard.flights.insert(hash, Arc::clone(&f));
-                        None
-                    }
-                }
-            };
-
-            if let Some(flight) = flight {
-                self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.add("ir_cache.singleflight_waits", 1);
-                flight.wait();
                 // The leader either inserted the entry (next iteration is
                 // a hit) or unwound (we race to become the new leader).
+                flight.wait();
                 continue;
             }
-
-            // We are the compile leader (or an independent hash-collision
-            // compile). The guard wakes waiters even if compile panics.
-            let guard = {
-                let shard = self.shard(hash);
-                shard
-                    .flights
-                    .get(&hash)
-                    .filter(|f| f.canon == canon)
-                    .map(|f| FlightGuard {
-                        cache: self,
-                        hash,
-                        flight: Arc::clone(f),
-                    })
-            };
-            #[cfg(test)]
-            {
-                // Cloned out, so a panicking hook poisons nothing.
-                let hook = self.compile_hook.lock().expect("hook poisoned").clone();
-                if let Some(hook) = hook {
-                    hook();
-                }
-            }
-            let compiled = Arc::new(CompiledCircuit::compile(&circuit));
-            let compiled = {
-                let mut shard = self.shard(hash);
-                // A racing hash-collision compile of the same canon may
-                // have inserted while we worked; keep theirs.
-                match shard.touch(hash, stamp, |e| e.canon == canon) {
-                    Some(e) => Arc::clone(&e.compiled),
-                    None => {
-                        shard.entries.entry(hash).or_default().push(Entry {
-                            canon,
-                            compiled: Arc::clone(&compiled),
-                            last_used: stamp,
-                            spelling: None,
-                        });
-                        shard.lru.insert(stamp, hash);
-                        self.count.fetch_add(1, Ordering::Relaxed);
-                        compiled
-                    }
-                }
-            };
-            drop(guard);
-            if let Some(cap) = self.max_entries {
-                self.enforce_cap(cap);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.add("ir_cache.misses", 1);
-            return Ok(CacheOutcome {
+            let flight = Arc::new(Flight::new(canon.clone()));
+            state.flights.insert(hash, Arc::clone(&flight));
+            break FlightGuard {
+                cache: self,
                 hash,
-                hit: false,
-                circuit,
-                compiled,
-            });
-        }
-    }
-
-    /// Evict globally least-recently-used entries until at most `cap`
-    /// remain. Locks every shard (in index order — the only multi-shard
-    /// lock path, so it cannot deadlock against single-shard users) and
-    /// takes the smallest head of their LRU indexes; a victim's spelling
-    /// goes with it.
-    fn enforce_cap(&self, cap: usize) {
-        if self.count.load(Ordering::Relaxed) <= cap {
-            return;
-        }
-        let mut shards: Vec<MutexGuard<'_, Shard>> = self
-            .shards
-            .iter()
-            .map(|m| m.lock().expect("compiled cache poisoned"))
-            .collect();
-        loop {
-            let total: usize = shards.iter().map(|s| s.lru.len()).sum();
-            self.count.store(total, Ordering::Relaxed);
-            if total <= cap {
-                return;
-            }
-            let Some((_, si)) = shards
-                .iter()
-                .enumerate()
-                .filter_map(|(si, s)| s.lru.first_key_value().map(|(&stamp, _)| (stamp, si)))
-                .min()
-            else {
-                return;
+                flight,
             };
-            let shard = &mut *shards[si];
-            let (stamp, h) = shard.lru.pop_first().expect("victim shard is nonempty");
-            let bucket = shard.entries.get_mut(&h).expect("indexed entry exists");
-            let i = bucket
-                .iter()
-                .position(|e| e.last_used == stamp)
-                .expect("indexed entry exists");
-            let victim = bucket.remove(i);
-            if let Some(key) = victim.spelling {
-                let mut index = self.spelling_shard(key);
-                if let Some(spellings) = index.get_mut(&key) {
-                    spellings.retain(|s| !Arc::ptr_eq(&s.compiled, &victim.compiled));
-                    if spellings.is_empty() {
-                        index.remove(&key);
-                    }
-                }
+        };
+        #[cfg(test)]
+        {
+            // Cloned out, so a panicking hook poisons nothing.
+            let hook = self.compile_hook.lock().expect("hook poisoned").clone();
+            if let Some(hook) = hook {
+                hook();
             }
-            if bucket.is_empty() {
-                shard.entries.remove(&h);
-            }
-            self.telemetry.add("ir_cache.evictions", 1);
         }
+        let compiled = Arc::new(CompiledCircuit::compile(&circuit));
+        {
+            let mut state = self.lock();
+            let stamp = state.stamp();
+            state.entries.entry(hash).or_default().push(Entry {
+                canon,
+                compiled: Arc::clone(&compiled),
+                last_used: stamp,
+                spelling: None,
+            });
+            state.lru.insert(stamp, hash);
+            while self.max_entries.is_some_and(|cap| state.lru.len() > cap) {
+                state.evict_oldest();
+                self.telemetry.add("ir_cache.evictions", 1);
+            }
+        }
+        drop(guard);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.add("ir_cache.misses", 1);
+        Ok(CacheOutcome {
+            hash,
+            hit: false,
+            circuit,
+            compiled,
+        })
     }
 
     /// Number of distinct compiled circuits held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|m| m.lock().expect("compiled cache poisoned").lru.len())
-            .sum()
+        self.lock().lru.len()
     }
 
     /// True if no compiled circuits are held.
@@ -554,12 +470,12 @@ impl CompiledCache {
     /// The spelling index's footprint: `(admitted spellings, their total
     /// raw bytes)`. At most one spelling per entry is ever held.
     pub fn spellings(&self) -> (usize, usize) {
-        self.spellings.iter().fold((0, 0), |(n, bytes), m| {
-            let shard = m.lock().expect("spelling index poisoned");
-            shard.values().flatten().fold((n, bytes), |(n, bytes), s| {
-                (n + 1, bytes + s.raw.len())
-            })
-        })
+        let state = self.lock();
+        state
+            .spellings
+            .values()
+            .flatten()
+            .fold((0, 0), |(n, bytes), s| (n + 1, bytes + s.raw.len()))
     }
 
     /// Total cache hits since construction (including single-flight waiters
@@ -586,19 +502,6 @@ impl CompiledCache {
     #[cfg(test)]
     fn set_compile_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
         *self.compile_hook.lock().expect("hook poisoned") = Some(Arc::from(hook));
-    }
-
-    /// Drop every entry and spelling (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("compiled cache poisoned");
-            shard.entries.clear();
-            shard.lru.clear();
-        }
-        for shard in &self.spellings {
-            shard.lock().expect("spelling index poisoned").clear();
-        }
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -834,9 +737,6 @@ mod tests {
         assert!(cache.get_spelled(&other).is_none());
         assert!(cache.get_spelled(&raw[1..]).is_none());
         assert_eq!((cache.hits(), cache.misses()), (3, 1));
-        cache.clear();
-        assert_eq!(cache.spellings(), (0, 0));
-        assert!(cache.get_spelled(&raw).is_none());
     }
 
     #[test]
@@ -917,10 +817,10 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_compile_poisons_no_shard() {
-        // A compile runs between shard locks (under its `FlightGuard`), and
-        // only map and B-tree operations run while a shard is held, so a
-        // panic inside the compile leaves every shard usable.
+    fn a_panicking_compile_poisons_nothing() {
+        // A compile runs outside the cache's lock (under its `FlightGuard`),
+        // and only map and B-tree operations run while it is held, so a
+        // panic inside the compile leaves the cache usable.
         let cache = CompiledCache::new();
         let panicked = Arc::new(AtomicBool::new(false));
         {
@@ -941,11 +841,7 @@ mod tests {
             ir
         };
         let ir = variant(0.0);
-        let shard = |ir: &Ir| ir.content_hash() as usize & (SHARDS - 1);
-        let neighbour = (1..)
-            .map(|k| variant(f64::from(k)))
-            .find(|other| shard(other) == shard(&ir))
-            .unwrap();
+        let neighbour = variant(1.0);
         let unwound =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get_or_compile(&ir)));
         assert!(unwound.is_err(), "the hook panicked inside the compile");
@@ -984,7 +880,57 @@ mod tests {
         });
         assert!(cache.len() <= CAP, "cap holds after concurrent churn");
         assert!(cache.misses() >= THREADS as u64, "each distinct IR compiled");
-        assert_eq!(cache.count.load(Ordering::Relaxed), cache.len());
+    }
+
+    #[test]
+    fn concurrent_spelled_lookups_respect_the_cap() {
+        // Spelling lookups race eviction on a cap-2 cache over 6 IRs: every
+        // answer must name the right circuit, every call must count once,
+        // and a spelling may outlive neither its entry nor the cap.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 60;
+        const CAP: usize = 2;
+        let cache = CompiledCache::new().with_max_entries(CAP);
+        let base = small_jtl_ir();
+        let irs: Vec<(Ir, Vec<u8>)> = (0..6)
+            .map(|t| {
+                let mut ir = base.clone();
+                if let super::super::IrNode::Source { pulses } = &mut ir.nodes[0] {
+                    for p in pulses.iter_mut() {
+                        *p += f64::from(t);
+                    }
+                }
+                let raw = ir.to_json().into_bytes();
+                (ir, raw)
+            })
+            .collect();
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (cache, irs, start) = (&cache, &irs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..ROUNDS {
+                        let (ir, raw) = &irs[(i * 5 + t * 7 + i / 6) % irs.len()];
+                        // A spelling miss falls back to the canonical path,
+                        // as the server does, so each round is one lookup.
+                        let hash = match (i + t) % 3 {
+                            0 => cache.get_spelled(raw).map_or_else(
+                                || cache.get_or_compile_spelled(ir, raw).unwrap().hash,
+                                |(hash, _)| hash,
+                            ),
+                            1 => cache.get_or_compile_spelled(ir, raw).unwrap().hash,
+                            _ => cache.get_or_compile(ir).unwrap().hash,
+                        };
+                        assert_eq!(hash, ir.content_hash());
+                    }
+                });
+            }
+        });
+        let calls = (THREADS * ROUNDS) as u64;
+        assert_eq!(cache.hits() + cache.misses(), calls);
+        assert!(cache.len() <= CAP);
+        assert!(cache.spellings().0 <= cache.len());
     }
 
     #[test]
